@@ -169,7 +169,12 @@ def parse_faults(spec: str):
 
 
 def _add_resilience_flags(p) -> None:
-    """Attach the shared executor-resilience flags to a subparser."""
+    """Attach the shared executor flags (fleet, retry, cache) to a subparser."""
+    p.add_argument("--workers", type=int, default=0, metavar="N",
+                   help="run the command's work units (rows, trials, "
+                        "schedules, sweep points, cold jobs) across N "
+                        "supervised worker processes (0 = serial, the "
+                        "default; results are bitwise identical)")
     p.add_argument("--retry", type=int, default=0, metavar="K",
                    help="retry each failed/crashed/hung task up to K more "
                         "times with exponential backoff (default 0: one "
@@ -196,6 +201,12 @@ def _retry_policy(args):
 
     return RetryPolicy(max_attempts=args.retry + 1,
                        base_delay=args.retry_delay)
+
+
+def _executor_args(args) -> dict:
+    """The :func:`_add_resilience_flags` flags as harness keyword arguments."""
+    return {"workers": args.workers, "retry": _retry_policy(args),
+            "task_timeout": args.task_timeout, "cache": args.cache}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(vectorized phase-advance; same traffic, no forces — see "
              "docs/performance.md)",
     )
-    p_cmp.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="run the per-algorithm rows across N worker "
-                            "processes (0 = serial, the default)")
     _add_resilience_flags(p_cmp)
 
     p_prof = sub.add_parser(
@@ -354,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reference stays FIFO, so the bitwise check also proves "
              "schedule independence (recorded in failure artifacts)",
     )
-    p_soak.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="run trials across N worker processes "
-                             "(0 = serial; results are bitwise identical)")
     _add_resilience_flags(p_soak)
 
     p_fuzz = sub.add_parser(
@@ -380,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--time-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="stop early after this much wall time")
-    p_fuzz.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="fan the campaign out over N worker processes "
-                             "(0 = serial; verdicts are identical)")
     _add_resilience_flags(p_fuzz)
 
     p_sweep = sub.add_parser(
@@ -414,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--engine-tier", default="event", choices=["event", "heuristic"],
         help="simulator tier for every sweep point")
-    p_sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="run sweep points across N supervised worker "
-                              "processes (0 = serial, the default)")
     _add_resilience_flags(p_sweep)
     p_sweep.add_argument("--quarantine", default=None, metavar="FILE",
                          help="write tasks that failed every attempt to a "
@@ -439,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321,
                          help="listen port (default 8321; 0 picks an "
                               "ephemeral port and prints it)")
-    p_serve.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="run cold jobs across N supervised worker "
-                              "processes (0 = serial, the default)")
     _add_resilience_flags(p_serve)
     p_serve.add_argument("--quarantine", default=None, metavar="FILE",
                          help="write jobs that failed every attempt to a "
@@ -637,9 +633,7 @@ def _cmd_compare(args, out) -> int:
     result = compare_algorithms(
         machine, particles, algorithms=names, c=args.replication,
         rcut=args.rcut, faults=faults, schedule=args.schedule,
-        engine_tier=args.engine_tier, workers=args.workers,
-        retry=_retry_policy(args), task_timeout=args.task_timeout,
-        cache=args.cache,
+        engine_tier=args.engine_tier, **_executor_args(args),
     )
     print(f"{len(result.entries)} algorithms on {machine.describe()}, "
           f"{args.particles} particles, c={args.replication}", file=out)
@@ -707,14 +701,14 @@ def _cmd_soak(args, out) -> int:
         out_dir=args.out_dir,
         time_budget=args.time_budget,
         schedule=args.schedule,
-        workers=args.workers,
-        retry=_retry_policy(args),
-        task_timeout=args.task_timeout,
-        cache=args.cache,
+        **_executor_args(args),
     )
     print(report.summary(), file=out)
     if not report.ok:
-        print(f"SOAK FAILED (seed={args.seed})", file=sys.stderr)
+        sched = "" if args.schedule is None else f" --schedule {args.schedule}"
+        print(f"SOAK FAILED: rerun with --seed {args.seed} "
+              f"--first-trial {report.failures[0].index} --trials 1{sched}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -731,10 +725,7 @@ def _cmd_schedfuzz(args, out) -> int:
         first_schedule=args.first_schedule,
         out_dir=args.out_dir,
         time_budget=args.time_budget,
-        workers=args.workers,
-        retry=_retry_policy(args),
-        task_timeout=args.task_timeout,
-        cache=args.cache,
+        **_executor_args(args),
     )
     print(report.summary(), file=out)
     if not report.ok:
@@ -776,11 +767,8 @@ def _cmd_sweep(args, out) -> int:
               "nothing can be served, so the assertion can never hold)",
               file=sys.stderr)
         return 2
-    report = run_sweep(
-        tasks, workers=args.workers, retry=_retry_policy(args),
-        task_timeout=args.task_timeout, cache=args.cache,
-        quarantine=args.quarantine,
-    )
+    report = run_sweep(tasks, quarantine=args.quarantine,
+                       **_executor_args(args))
     print(report.summary(), file=out)
     if args.out:
         records = [
@@ -825,10 +813,7 @@ def _cmd_serve(args, out) -> int:
 
     from repro.service import JobQueue, serve
 
-    queue = JobQueue(
-        cache=args.cache, workers=args.workers, retry=_retry_policy(args),
-        task_timeout=args.task_timeout, quarantine=args.quarantine,
-    )
+    queue = JobQueue(quarantine=args.quarantine, **_executor_args(args))
     announce = (lambda line: print(line, file=out, flush=True))
     try:
         asyncio.run(serve(queue, host=args.host, port=args.port,

@@ -26,24 +26,25 @@ the serial loop:
   chaos) or hangs past ``task_timeout`` is detected, killed, and
   replaced, and its task is re-dispatched to a fresh worker — unlike
   ``multiprocessing.Pool.map``, which hangs forever on a lost worker.
-* **Serial fallback** — ``workers=0`` (the default) runs the plain list
-  comprehension in-process: no pool, no pickling, exceptions propagate
-  natively.  Every harness keeps this as its reference path.
+* **Serial path** — ``workers=0`` (the default) runs the same tasks
+  in-process under the same retry policy and deadline: no pool, no
+  pickling.  It is every harness's reference path, not a second loop.
 
 Three layers, lowest first:
 
 * :func:`run_supervised` — the executor.  Never raises on task failure;
   returns one :class:`TaskOutcome` per task (``ok`` / ``failed`` /
-  ``timeout`` / ``crashed``), honoring a :class:`RetryPolicy` and
-  optionally writing tasks that failed every attempt to a replayable
-  JSON **quarantine** artifact (:func:`write_quarantine` /
-  :func:`load_quarantine`).
-* :func:`parallel_map` — the historical map API, now built on the
-  supervisor.  ``on_error="raise"`` (default) keeps the PR-7 contract
-  (a plain result list, :class:`WorkerError` on failure);
-  ``on_error="collect"`` returns the outcome list instead.
-* The harnesses thread ``retry=`` / ``task_timeout=`` through from their
-  ``--retry`` / ``--task-timeout`` CLI flags.
+  ``timeout`` / ``crashed`` / ``skipped``), honoring a
+  :class:`RetryPolicy` and a ``deadline``, and optionally writing tasks
+  that failed every attempt to a replayable JSON **quarantine** artifact
+  (:func:`write_quarantine` / :func:`load_quarantine`).
+* :func:`cached_map` — the one cached fan-out every harness enters the
+  executor through: run-cache lookup, in-batch single-flight, supervised
+  execution of the misses, store, ordered merge
+  (``docs/resilient-sweeps.md`` defines the policy).
+* :func:`parallel_map` — the plain map API on the supervisor
+  (a result list, :class:`WorkerError` on failure;
+  ``on_error="collect"`` returns the outcome list instead).
 
 ``spawn`` is deliberate: it is the only start method that is both
 portable (fork is unavailable on Windows and unsound with threads) and
@@ -71,9 +72,11 @@ import signal
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 from typing import Any, Callable, Iterable, Sequence
+
+from repro.core.runcache import MISS, RunCache
 
 __all__ = [
     "QUARANTINE_FORMAT",
@@ -81,10 +84,12 @@ __all__ = [
     "TaskOutcome",
     "WorkerError",
     "as_retry_policy",
+    "cached_map",
     "load_quarantine",
     "parallel_map",
     "run_supervised",
     "spawn_seeds",
+    "values_or_raise",
     "write_quarantine",
 ]
 
@@ -93,6 +98,9 @@ QUARANTINE_FORMAT = "repro-quarantine-v1"
 
 #: Environment variable holding the host-chaos injection spec.
 HOST_CHAOS_ENV = "REPRO_HOST_CHAOS"
+
+#: Longest the supervisor sleeps between looks at its fleet (seconds).
+_POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -166,13 +174,14 @@ class TaskOutcome:
     ``task_timeout`` and its worker was killed), ``"crashed"`` (the
     worker died mid-task on the last attempt — SIGKILL/OOM),
     ``"cached"`` (served from a :class:`~repro.core.runcache.RunCache`
-    without executing; ``attempts == 0``), or ``"coalesced"``
+    without executing; ``attempts == 0``), ``"coalesced"``
     (single-flight: a duplicate of another task in the same batch,
     served that task's in-memory result without recomputing or
-    re-reading the cache; ``attempts == 0``).  ``attempts`` counts
-    attempts actually consumed; crashes and timeouts consume an attempt
-    just like a raise, so a task whose worker is killed on attempt 1
-    retries as attempt 2.
+    re-reading the cache; ``attempts == 0``), or ``"skipped"`` (the
+    ``deadline`` passed before the task could be dispatched; it is
+    un-run, not failed).  ``attempts`` counts attempts actually
+    consumed; crashes and timeouts consume an attempt just like a raise,
+    so a task whose worker is killed on attempt 1 retries as attempt 2.
     """
 
     index: int
@@ -186,6 +195,12 @@ class TaskOutcome:
     def ok(self) -> bool:
         """Whether this task produced a (computed, cached or shared) value."""
         return self.status in ("ok", "cached", "coalesced")
+
+    def describe_loss(self) -> str:
+        """One line for a task without a value: status, attempts, last error."""
+        last = (self.error or "").strip().splitlines()
+        return (f"{self.status} after {self.attempts} attempt(s) — "
+                f"{last[-1] if last else 'no detail'}")
 
 
 class WorkerError(RuntimeError):
@@ -325,6 +340,11 @@ class _Worker:
         self.job: tuple[int, int, float | None] | None = None
 
 
+def _expired(deadline: float | None) -> bool:
+    """Whether the ``time.monotonic()`` deadline (if any) has passed."""
+    return deadline is not None and time.monotonic() >= deadline
+
+
 def _serial_attempts(fn, index: int, task, retry: RetryPolicy) -> TaskOutcome:
     """In-process execution of one task under the retry policy."""
     error = ""
@@ -348,9 +368,8 @@ def run_supervised(
     workers: int = 0,
     retry: RetryPolicy | int | None = None,
     task_timeout: float | None = None,
+    deadline: float | None = None,
     quarantine: str | None = None,
-    task_json: Callable[[Any], Any] | None = None,
-    poll_interval: float = 0.05,
 ) -> list[TaskOutcome]:
     """Execute every task under supervision; never raise on task failure.
 
@@ -366,29 +385,36 @@ def run_supervised(
     ``task_timeout`` is not enforceable there (nothing can preempt the
     parent) and is ignored.
 
+    ``deadline`` (a ``time.monotonic()`` instant) is the time budget,
+    checked before every dispatch, serial or pooled: once it has passed
+    nothing more is started (running tasks finish) and every task not
+    yet dispatched comes back ``status="skipped"``.  A deadline already
+    expired on entry spawns no worker at all.
+
     ``quarantine`` names a JSON file: tasks that failed every attempt are
     written there via :func:`write_quarantine` (replayable with
     :func:`load_quarantine`) and flagged ``quarantined=True``.
-    ``task_json`` converts a task to its JSON form for that artifact.
     """
     tasks = list(tasks)
     policy = as_retry_policy(retry)
     outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-    if workers <= 0 or len(tasks) == 0:
+    if workers <= 0 or len(tasks) == 0 or _expired(deadline):
         for i, t in enumerate(tasks):
-            outcomes[i] = _serial_attempts(fn, i, t, policy)
+            outcomes[i] = (TaskOutcome(index=i, status="skipped")
+                           if _expired(deadline)
+                           else _serial_attempts(fn, i, t, policy))
     else:
         _supervise(fn, tasks, outcomes, workers=int(workers), retry=policy,
-                   task_timeout=task_timeout, poll_interval=poll_interval)
+                   task_timeout=task_timeout, deadline=deadline)
     done: list[TaskOutcome] = outcomes  # type: ignore[assignment]
     if quarantine:
-        write_quarantine(quarantine, tasks, done, task_json=task_json)
+        write_quarantine(quarantine, tasks, done)
     return done
 
 
 def _supervise(fn, tasks: Sequence[Any], outcomes, *, workers: int,
                retry: RetryPolicy, task_timeout: float | None,
-               poll_interval: float) -> None:
+               deadline: float | None) -> None:
     """The supervisor loop behind :func:`run_supervised` (workers > 0)."""
     ctx = multiprocessing.get_context("spawn")
     nproc = min(workers, len(tasks))
@@ -443,6 +469,14 @@ def _supervise(fn, tasks: Sequence[Any], outcomes, *, workers: int,
     try:
         while done < len(tasks):
             now = time.monotonic()
+            if pending and deadline is not None and now >= deadline:
+                # Budget spent: whatever is not running stays un-run
+                # (a queued retry keeps the attempts it consumed).
+                for _, index, attempt in pending:
+                    outcomes[index] = TaskOutcome(
+                        index=index, status="skipped", attempts=attempt - 1)
+                done += len(pending)
+                pending.clear()
             # Dispatch every eligible pending task to an idle worker.
             while idle and pending and pending[0][0] <= now:
                 _, index, attempt = heapq.heappop(pending)
@@ -465,21 +499,21 @@ def _supervise(fn, tasks: Sequence[Any], outcomes, *, workers: int,
                     done += 1
                     idle.append(w)
                     continue
-                deadline = None if task_timeout is None else now + task_timeout
-                w.job = (index, attempt, deadline)
+                limit = None if task_timeout is None else now + task_timeout
+                w.job = (index, attempt, limit)
                 busy.append(w)
             if done >= len(tasks):
                 break
             if not busy:
                 # Only backoff-delayed retries remain; sleep until the
                 # earliest becomes eligible.
-                wake = pending[0][0] if pending else now + poll_interval
+                wake = pending[0][0] if pending else now + _POLL_INTERVAL
                 time.sleep(max(0.0, min(wake - time.monotonic(),
-                                        poll_interval)))
+                                        _POLL_INTERVAL)))
                 continue
-            # Wake on the first result, the nearest deadline, the next
-            # retry becoming eligible, or the poll tick.
-            timeout = poll_interval
+            # Wake on the first result, the nearest task timeout, the
+            # next retry becoming eligible, or the poll tick.
+            timeout = _POLL_INTERVAL
             if pending and idle:
                 timeout = min(timeout, max(0.0, pending[0][0] - now))
             for w in busy:
@@ -515,11 +549,11 @@ def _supervise(fn, tasks: Sequence[Any], outcomes, *, workers: int,
                 else:
                     _settle(index, attempt, "failed", payload)
             # Hung-worker detection: kill and replace anyone past their
-            # deadline whose result has not reached the pipe.
+            # task timeout whose result has not reached the pipe.
             now = time.monotonic()
             for w in list(busy):
-                index, attempt, deadline = w.job
-                if deadline is None or now <= deadline or w.conn.poll():
+                index, attempt, limit = w.job
+                if limit is None or now <= limit or w.conn.poll():
                     continue
                 busy.remove(w)
                 _retire(w)
@@ -545,7 +579,7 @@ def _supervise(fn, tasks: Sequence[Any], outcomes, *, workers: int,
                 w.proc.join()
 
 
-def _default_task_json(task) -> Any:
+def _task_json(task) -> Any:
     """Best-effort JSON form of a task for the quarantine artifact."""
     try:
         json.dumps(task)
@@ -556,22 +590,22 @@ def _default_task_json(task) -> Any:
 
 def write_quarantine(path: str, tasks: Sequence[Any],
                      outcomes: Sequence[TaskOutcome | None], *,
-                     task_json: Callable[[Any], Any] | None = None,
                      context: dict | None = None) -> str | None:
     """Persist failed-beyond-retry tasks as a replayable JSON artifact.
 
-    Each entry records the task (via ``task_json``, default: the task
-    itself if JSON-serializable else its ``repr``), its index, final
-    status, attempt count and last error — enough to replay exactly the
-    poisoned units (see :func:`load_quarantine`).  Written atomically
+    Each entry records the task (itself if JSON-serializable, else its
+    ``repr``), its index, final status, attempt count and last error —
+    enough to replay exactly the poisoned units (see
+    :func:`load_quarantine`).  Written atomically
     (tmp + rename).  Returns the path, or ``None`` when nothing failed
     (no artifact is written).  Failed outcomes are flagged
-    ``quarantined=True`` in place.
+    ``quarantined=True`` in place; ``skipped`` ones are un-run, not
+    poisoned, and stay out.
     """
-    failed = [o for o in outcomes if o is not None and not o.ok]
+    failed = [o for o in outcomes
+              if o is not None and not o.ok and o.status != "skipped"]
     if not failed:
         return None
-    encode = task_json or _default_task_json
     payload = {
         "format": QUARANTINE_FORMAT,
         "context": context or {},
@@ -581,7 +615,7 @@ def write_quarantine(path: str, tasks: Sequence[Any],
                 "status": o.status,
                 "attempts": o.attempts,
                 "error": o.error,
-                "task": encode(tasks[o.index]),
+                "task": _task_json(tasks[o.index]),
             }
             for o in failed
         ],
@@ -619,17 +653,91 @@ def load_quarantine(path: str) -> list[dict]:
     return list(data["entries"])
 
 
+def cached_map(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    *,
+    keys: Sequence[str | None],
+    store: RunCache | None = None,
+    cacheable: Callable[[Any], bool] | None = None,
+    workers: int = 0,
+    retry: RetryPolicy | int | None = None,
+    task_timeout: float | None = None,
+    deadline: float | None = None,
+) -> list[TaskOutcome]:
+    """The one cached fan-out: lookup, single-flight, run, store, merge.
+
+    ``keys[i]`` is the content fingerprint of ``tasks[i]`` (``None``:
+    never cached or coalesced, always computed).  In task order, the
+    first task of each key consults ``store`` — a hit becomes a
+    ``"cached"`` outcome — and later tasks of the same key wait for it;
+    the misses run through :func:`run_supervised` (``workers`` /
+    ``retry`` / ``task_timeout`` / ``deadline``) in one fleet; every
+    ``"ok"`` value is stored (unless ``cacheable(value)`` says no)
+    *before* this returns, so a caller that then raises on a lost task
+    still resumes from whatever completed; duplicates come back
+    ``"coalesced"`` with their leader's value, or share its failure.
+    Exactly one ``store.get`` and at most one ``store.put`` per unique
+    key.  Never raises on task failure — one :class:`TaskOutcome` per
+    task, in task order (see ``docs/resilient-sweeps.md``).
+    """
+    outcomes: list[TaskOutcome | None] = [None] * len(tasks)
+    leaders: dict[str, int] = {}
+    followers: list[tuple[int, int]] = []
+    misses: list[int] = []
+    for i, key in enumerate(keys):
+        if key is not None:
+            leader = leaders.setdefault(key, i)
+            if leader != i:
+                followers.append((i, leader))
+                continue
+            if store is not None:
+                hit = store.get(key)
+                if hit is not MISS:
+                    outcomes[i] = TaskOutcome(index=i, status="cached",
+                                              value=hit)
+                    continue
+        misses.append(i)
+    if misses:
+        ran = run_supervised(fn, [tasks[i] for i in misses], workers=workers,
+                             retry=retry, task_timeout=task_timeout,
+                             deadline=deadline)
+        for i, outcome in zip(misses, ran):
+            outcome.index = i
+            outcomes[i] = outcome
+            if (store is not None and outcome.status == "ok"
+                    and keys[i] is not None
+                    and (cacheable is None or cacheable(outcome.value))):
+                store.put(keys[i], outcome.value)
+    for i, leader in followers:
+        lead = outcomes[leader]
+        # Same key, same bits: share the leader's value — or its fate —
+        # without consuming an attempt.
+        outcomes[i] = TaskOutcome(
+            index=i, status="coalesced" if lead.ok else lead.status,
+            value=lead.value, error=lead.error)
+    return outcomes  # type: ignore[return-value]
+
+
+def values_or_raise(outcomes: Sequence[TaskOutcome]) -> list[Any]:
+    """The outcomes' values in order; :class:`WorkerError` if any is lost.
+
+    The error aggregates *every* outcome without a value.
+    """
+    failures = [o for o in outcomes if not o.ok]
+    if failures:
+        raise WorkerError(failures)
+    return [o.value for o in outcomes]
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
     *,
     workers: int = 0,
-    chunksize: int = 1,
     retry: RetryPolicy | int | None = None,
     task_timeout: float | None = None,
     on_error: str = "raise",
-    quarantine: str | None = None,
-    task_json: Callable[[Any], Any] | None = None,
 ) -> list[Any]:
     """Map ``fn`` over ``tasks``, optionally across worker processes.
 
@@ -647,10 +755,6 @@ def parallel_map(
         ``0`` (default) runs serially in-process.  ``>= 1`` runs a
         supervised fleet of ``min(workers, len(tasks))`` spawned
         processes (see :func:`run_supervised`).
-    chunksize:
-        Accepted for backward compatibility; the supervised executor
-        dispatches per task (its round-trip is one pipe message, and
-        per-task dispatch is what makes kill/replace recovery possible).
     retry:
         A :class:`RetryPolicy`, an int (max attempts), or ``None`` (one
         attempt).  Worker crashes and timeouts consume attempts too.
@@ -662,9 +766,6 @@ def parallel_map(
         every attempt, raise :class:`WorkerError` aggregating *all*
         failures.  ``"collect"``: never raise on task failure; return
         the full :class:`TaskOutcome` list instead.
-    quarantine, task_json:
-        Forwarded to :func:`run_supervised` — tasks that failed every
-        attempt land in this replayable JSON artifact.
 
     Returns
     -------
@@ -677,27 +778,15 @@ def parallel_map(
     WorkerError:
         With ``on_error="raise"``, when tasks fail beyond retry; names
         every failed index and carries the remote tracebacks.  (In the
-        plain serial mode — no retry, no quarantine — the original
-        exception propagates natively, unchanged from PR 7.)
+        plain serial mode — no retry — the original exception
+        propagates natively, unchanged from PR 7.)
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}")
     tasks = list(tasks)
-    if (workers <= 0 and retry is None and quarantine is None
-            and on_error == "raise"):
+    if workers <= 0 and retry is None and on_error == "raise":
         return [fn(t) for t in tasks]
     outcomes = run_supervised(fn, tasks, workers=workers, retry=retry,
-                              task_timeout=task_timeout,
-                              quarantine=quarantine, task_json=task_json)
-    if on_error == "collect":
-        return outcomes
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        raise WorkerError(failures)
-    return [o.value for o in outcomes]
-
-
-def _pool_size(workers: int | None) -> int:
-    """Normalize a ``--workers`` CLI value (``None`` -> serial)."""
-    return 0 if workers is None else max(0, int(workers))
+                              task_timeout=task_timeout)
+    return outcomes if on_error == "collect" else values_or_raise(outcomes)

@@ -106,19 +106,24 @@ def _compare_task(task: tuple) -> AlgorithmComparison:
 COMPARE_NAMESPACE = "compare-v1"
 
 
-def _row_fingerprint(spec: RunSpec, name: str, workload) -> str:
-    """Content fingerprint of one comparison row (pure in its inputs).
-
-    The workload arrays are hashed in full — a row is only served from
-    cache for the *exact same* particles — alongside every spec knob
-    that can change the row's numbers.
-    """
+def _workload_digest(workload) -> str:
+    """sha256 of the workload arrays, in full — hashed once per call."""
     import hashlib
 
     h = hashlib.sha256()
     h.update(workload.pos.tobytes())
     h.update(workload.vel.tobytes())
     h.update(workload.ids.tobytes())
+    return h.hexdigest()
+
+
+def _row_fingerprint(spec: RunSpec, name: str, digest: str) -> str:
+    """Content fingerprint of one comparison row (pure in its inputs).
+
+    ``digest`` is :func:`_workload_digest` — a row is only served from
+    cache for the *exact same* particles — alongside every spec knob
+    that can change the row's numbers.
+    """
     parts = [
         f"alg={name}", f"machine={spec.machine!r}", f"c={spec.c}",
         f"rcut={spec.rcut!r}", f"law={spec.law!r}",
@@ -129,7 +134,7 @@ def _row_fingerprint(spec: RunSpec, name: str, workload) -> str:
         f"eager={spec.eager_threshold}", f"scratch={spec.scratch}",
         f"faults={spec.faults!r}", f"opts={spec.engine_opts!r}",
         f"schedule={spec.schedule!r}", f"tier={spec.engine_tier}",
-        f"workload={h.hexdigest()}",
+        f"workload={digest}",
     ]
     return "compare-row;" + ";".join(parts)
 
@@ -169,25 +174,22 @@ def compare_algorithms(
     (``fault_mode == "kills"``) at replication ``c >= 2``; the rest are
     skipped with the reason recorded.
 
-    ``workers > 0`` runs the per-algorithm rows across that many spawned
-    worker processes (:func:`repro.core.parallel.parallel_map`); every
-    row is a pure function of its spec, so the result is identical to
-    the serial sweep, in the same algorithm order.  ``retry`` (a
-    :class:`~repro.core.parallel.RetryPolicy` or int max attempts) and
-    ``task_timeout`` (seconds) add executor-level crash/hang recovery to
-    that fleet; rows that still fail raise one aggregated
-    :class:`~repro.core.parallel.WorkerError` naming every lost row.
-
-    ``cache`` (a directory path or
-    :class:`~repro.core.runcache.RunCache`) serves rows computed by an
-    earlier call with the exact same workload bytes and spec knobs
-    (rows accumulating into a ``pair_counter`` always recompute — the
-    coverage side effect must happen).
+    The rows go through the one cached fan-out,
+    :func:`repro.core.parallel.cached_map` (``docs/resilient-sweeps.md``;
+    ``workers`` / ``retry`` / ``task_timeout`` / ``cache`` go there);
+    every row is a pure function of its spec, so the result is identical
+    for any worker count, in the same algorithm order.  Keys are
+    :func:`_row_fingerprint` — the exact workload bytes plus every spec
+    knob — in :data:`COMPARE_NAMESPACE`; a row accumulating into a
+    ``pair_counter`` has no key and always recomputes (the coverage side
+    effect must happen).  Rows still lost after every retry raise one
+    aggregated :class:`~repro.core.parallel.WorkerError` naming each of
+    them — after the rows that did complete were stored, so a re-run
+    with the same cache computes only what is missing.
     """
-    from repro.core.parallel import parallel_map
-    from repro.core.runcache import MISS, resolve_cache
+    from repro.core.parallel import cached_map, values_or_raise
+    from repro.core.runcache import resolve_cache
 
-    store = resolve_cache(cache, namespace=COMPARE_NAMESPACE)
     names = (list(algorithms) if algorithms is not None
              else list_algorithms(functional=True))
     base = RunSpec(machine=machine, algorithm="", particles=particles,
@@ -200,8 +202,9 @@ def compare_algorithms(
     skipped: dict[str, str] = {}
     ref_cache: dict[ForceLaw, np.ndarray] = {}
     order = np.argsort(workload.ids, kind="stable")
+    digest = _workload_digest(workload)
     tasks: list[tuple] = []
-    served: dict[str, AlgorithmComparison] = {}
+    keys: list[str | None] = []
 
     for name in names:
         alg = get_algorithm(name)
@@ -229,21 +232,16 @@ def compare_algorithms(
             if ref is None:
                 ref = ref_cache[ref_law] = reference_forces(ref_law, workload)
             ref_ordered = ref[order]
-        if store is not None and spec.pair_counter is None:
-            hit = store.get(_row_fingerprint(spec, name, workload))
-            if hit is not MISS:
-                served[name] = hit
-                continue
         tasks.append((spec, name, ref_ordered))
+        keys.append(None if spec.pair_counter is not None
+                    else _row_fingerprint(spec, name, digest))
 
-    computed = parallel_map(_compare_task, tasks, workers=workers,
-                            retry=retry, task_timeout=task_timeout)
-    for (spec, name, _ref), entry in zip(tasks, computed):
-        served[name] = entry
-        if store is not None and spec.pair_counter is None:
-            store.put(_row_fingerprint(spec, name, workload), entry)
-    entries = [served[name] for name in names if name in served]
-    return ComparisonResult(entries=entries, skipped=skipped)
+    outcomes = cached_map(
+        _compare_task, tasks, keys=keys,
+        store=resolve_cache(cache, namespace=COMPARE_NAMESPACE),
+        workers=workers, retry=retry, task_timeout=task_timeout)
+    return ComparisonResult(entries=values_or_raise(outcomes),
+                            skipped=skipped)
 
 
 def render_comparison(result: ComparisonResult) -> str:

@@ -245,29 +245,28 @@ def _check_lock(name: str, volume: dict, config: dict,
     return None
 
 
-def _baseline_task(task: tuple) -> dict:
-    """Parallel work unit: one FIFO baseline signature for ``(name, cfg)``."""
-    from repro.machines import GenericMachine
+def _signature_task(task: tuple) -> tuple[str, object]:
+    """Parallel work unit: one run's signature for ``(name, cfg, spec_str)``.
 
-    name, cfg = task
-    return _signature(run(_spec(GenericMachine, name, cfg)))
-
-
-def _perturbed_task(task: tuple) -> tuple[str, object]:
-    """Parallel work unit: one perturbed run for ``(name, cfg, spec_str)``.
-
-    Returns ``("ok", signature)`` or ``("raised", detail)`` — a raising
-    perturbed run is a recorded *finding*, exactly as in the serial loop,
-    not a worker crash.
+    ``spec_str`` is the schedule policy spec, ``None`` for the FIFO
+    baseline.  Returns ``("ok", signature)`` or ``("raised", detail)`` —
+    a raising run is a recorded *finding* (the engine's invariant audit
+    raises on violation), not a worker crash.
     """
     from repro.machines import GenericMachine
 
     name, cfg, spec_str = task
     try:
-        got = run(_spec(GenericMachine, name, cfg, schedule=spec_str))
-        return ("ok", _signature(got))
+        return ("ok", _signature(
+            run(_spec(GenericMachine, name, cfg, schedule=spec_str))))
     except Exception as exc:
-        return ("raised", f"perturbed run raised {type(exc).__name__}: {exc}")
+        leg = "baseline" if spec_str is None else "perturbed"
+        return ("raised", f"{leg} run raised {type(exc).__name__}: {exc}")
+
+
+def _is_signature(value: tuple[str, object]) -> bool:
+    """Cacheability: signatures are stored, ``("raised", ...)`` findings never."""
+    return value[0] == "ok"
 
 
 def _dump_artifact(directory: str, check: SchedFuzzCheck, config: dict,
@@ -314,14 +313,23 @@ def _dump_artifact(directory: str, check: SchedFuzzCheck, config: dict,
     return path
 
 
-#: Run-cache namespace for run signatures (bump on schema change).
-SCHEDFUZZ_NAMESPACE = "schedfuzz-v1"
+#: Run-cache namespace for run signatures (bump on schema change; v2
+#: stores the work unit's ``("ok", signature)`` pair, v1 the signature).
+SCHEDFUZZ_NAMESPACE = "schedfuzz-v2"
 
 
 def _sig_key(name: str, cfg: dict, schedule: str | None) -> str:
     """Cache fingerprint of one run signature (``schedule=None`` = FIFO)."""
     return (f"sig;alg={name};cfg={json.dumps(cfg, sort_keys=True)};"
             f"schedule={schedule or 'fifo'}")
+
+
+def _finding(outcome, leg: str) -> tuple[str, object]:
+    """An outcome's ``(status, value)`` pair; a lost run is a finding too."""
+    if outcome.ok:
+        return outcome.value
+    return ("raised",
+            f"{leg} run lost in executor: {outcome.describe_loss()}")
 
 
 def run_schedfuzz(
@@ -346,225 +354,90 @@ def run_schedfuzz(
     ``(seed, i)``), so one failing schedule replays alone.  ``config``
     overrides the pinned ``{p, n, c, rcut, seed}`` measurement point
     (volumes are then no longer checked against the metrics lock).
-    ``time_budget`` (wall seconds) stops the campaign early, recording
-    what was skipped.
+    ``time_budget`` (wall seconds) becomes the executor's ``deadline``:
+    runs not yet started when it passes are recorded as skipped.
 
-    ``workers > 0`` fans the campaign out over spawned worker processes
-    (:func:`repro.core.parallel.parallel_map`): first all FIFO baselines,
-    then every perturbed schedule, with verdicts merged in the serial
-    ``(algorithm, index)`` order — every check is a pure function of its
-    ``(algorithm, seed, index)`` triple, so the report is identical to
-    the serial run.  With a ``time_budget`` the cutoff is checked between
-    waves of ``4 * workers`` runs, so *which* trailing schedules get
-    skipped may differ from the serial run.
-
-    ``retry`` / ``task_timeout`` govern the executor's crash/hang
-    recovery for the worker fleet (see
-    :func:`repro.core.parallel.run_supervised`); a run the executor
-    loses beyond every retry is recorded as a failed check naming the
-    executor, never an aborted campaign.  ``cache`` (a directory path or
-    :class:`~repro.core.runcache.RunCache`) stores run *signatures* keyed
-    on ``(algorithm, config, schedule)`` — verdicts are always re-judged
-    from the signatures, so a cached campaign still detects divergence
-    and still honors a changed metrics lock.
+    The campaign is two cached fan-outs through
+    :func:`repro.core.parallel.cached_map` (``docs/resilient-sweeps.md``;
+    ``workers`` / ``retry`` / ``task_timeout`` / ``cache`` go there) —
+    every FIFO baseline, then every perturbed schedule — with verdicts
+    merged in ``(algorithm, index)`` order, so the report is identical
+    for any worker count.  Keys are ``(algorithm, config, schedule)`` in
+    :data:`SCHEDFUZZ_NAMESPACE`; only run *signatures* are cacheable —
+    never verdicts or ``("raised", ...)`` findings — so a cached
+    campaign re-judges everything, still detects divergence and still
+    honors a changed metrics lock.  A baseline that raises or is lost in
+    the executor fails every check of its algorithm (like a lock
+    mismatch); a lost perturbed run fails its own check; the campaign
+    always completes.
     """
-    from repro.core.runcache import MISS, resolve_cache
-    from repro.machines import GenericMachine
+    from repro.core.parallel import cached_map
+    from repro.core.runcache import resolve_cache
 
     cfg = dict(PINNED if config is None else config)
     report = SchedFuzzReport(seed=seed, schedules=schedules, config=cfg)
     names = list(algorithms) if algorithms is not None else list_algorithms()
     artifact_dir = out_dir or tempfile.mkdtemp(prefix="schedfuzz-")
+    deadline = (None if time_budget is None
+                else time.monotonic() + time_budget)
+
     store = resolve_cache(cache, namespace=SCHEDFUZZ_NAMESPACE)
-    t0 = time.monotonic()
-    if workers > 0:
-        return _run_parallel(report, names, cfg, schedules=schedules,
-                             seed=seed, first_schedule=first_schedule,
-                             artifact_dir=artifact_dir,
-                             time_budget=time_budget, lock_path=lock_path,
-                             workers=workers, t0=t0, retry=retry,
-                             task_timeout=task_timeout, store=store)
-    for name in names:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            report.skipped.append(f"{name}: time budget exhausted")
-            continue
-        base_sig = (store.get(_sig_key(name, cfg, None))
-                    if store is not None else MISS)
-        if base_sig is MISS:
-            baseline = run(_spec(GenericMachine, name, cfg))
-            base_sig = _signature(baseline)
-            if store is not None:
-                store.put(_sig_key(name, cfg, None), base_sig)
-        lock_problem = _check_lock(name, base_sig["volume"], cfg, lock_path)
-        for index in range(first_schedule, first_schedule + schedules):
-            spec_str = derive_schedule(seed, index)
-            sseed = int(spec_str.partition(":")[2])
-            check = SchedFuzzCheck(algorithm=name, index=index, seed=seed,
-                                   schedule_seed=sseed, schedule=spec_str)
-            report.checks.append(check)
-            if time_budget is not None and time.monotonic() - t0 > time_budget:
-                report.skipped.append(
-                    f"{name}: schedules {index}.. skipped (time budget)")
-                report.checks.pop()
-                break
-            if lock_problem:
-                # The baseline itself is off the committed lock; every
-                # schedule inherits the failure rather than masking it.
-                check.outcome = "failed"
-                check.detail = lock_problem
-                report.artifacts.append(_dump_artifact(
-                    artifact_dir, check, cfg, base_sig, None))
-                continue
-            got_sig = None
-            cached_sig = (store.get(_sig_key(name, cfg, spec_str))
-                          if store is not None else MISS)
-            if cached_sig is not MISS:
-                got_sig = cached_sig
-                mismatch = _diff_signatures(base_sig, got_sig)
-            else:
-                try:
-                    got = run(_spec(GenericMachine, name, cfg,
-                                    schedule=spec_str))
-                    got_sig = _signature(got)
-                    if store is not None:
-                        store.put(_sig_key(name, cfg, spec_str), got_sig)
-                    mismatch = _diff_signatures(base_sig, got_sig)
-                except Exception as exc:
-                    mismatch = (f"perturbed run raised "
-                                f"{type(exc).__name__}: {exc}")
-            if mismatch:
-                check.outcome = "failed"
-                check.detail = mismatch
-                report.artifacts.append(_dump_artifact(
-                    artifact_dir, check, cfg, base_sig, got_sig))
-    return report
 
-
-def _lost_in_executor(outcome) -> str:
-    """A check/skip detail line for a task the executor lost."""
-    last = (outcome.error or "").strip().splitlines()
-    return (f"run lost in executor: {outcome.status} after "
-            f"{outcome.attempts} attempt(s) — "
-            f"{last[-1] if last else 'no detail'}")
-
-
-def _run_parallel(report: SchedFuzzReport, names: list[str], cfg: dict, *,
-                  schedules: int, seed: int, first_schedule: int,
-                  artifact_dir: str, time_budget, lock_path, workers: int,
-                  t0: float, retry=None, task_timeout=None,
-                  store=None) -> SchedFuzzReport:
-    """The ``workers > 0`` campaign body: fan out, merge in serial order."""
-    from repro.core.parallel import parallel_map
-    from repro.core.runcache import MISS
-
-    def _exhausted() -> bool:
-        return time_budget is not None and time.monotonic() - t0 > time_budget
+    def _signatures(tasks: list[tuple]):
+        return cached_map(
+            _signature_task, tasks, keys=[_sig_key(*t) for t in tasks],
+            store=store, cacheable=_is_signature, workers=workers,
+            retry=retry, task_timeout=task_timeout, deadline=deadline)
 
     live: list[str] = []
-    for name in names:
-        if _exhausted():
+    base_sigs: dict[str, dict | None] = {}
+    problems: dict[str, str | None] = {}
+    baselines = _signatures([(name, cfg, None) for name in names])
+    for name, outcome in zip(names, baselines):
+        if outcome.status == "skipped":
             report.skipped.append(f"{name}: time budget exhausted")
-        else:
-            live.append(name)
-    base_sigs: dict[str, dict] = {}
-    base_problems: dict[str, str] = {}
-    need_base = []
-    for nm in live:
-        hit = (store.get(_sig_key(nm, cfg, None))
-               if store is not None else MISS)
-        if hit is not MISS:
-            base_sigs[nm] = hit
-        else:
-            need_base.append(nm)
-    if need_base:
-        outs = parallel_map(_baseline_task, [(nm, cfg) for nm in need_base],
-                            workers=workers, retry=retry,
-                            task_timeout=task_timeout, on_error="collect")
-        for nm, outcome in zip(need_base, outs):
-            if outcome.ok:
-                base_sigs[nm] = outcome.value
-                if store is not None:
-                    store.put(_sig_key(nm, cfg, None), outcome.value)
-            else:
-                # No baseline means nothing to judge against: every
-                # check of this algorithm fails naming the loss, like a
-                # lock problem — the campaign itself keeps going.
-                base_problems[nm] = f"baseline {_lost_in_executor(outcome)}"
-    lock_problems = {
-        nm: (base_problems.get(nm)
-             or _check_lock(nm, base_sigs[nm]["volume"], cfg, lock_path))
-        for nm in live
-    }
-    indices = list(range(first_schedule, first_schedule + schedules))
-    # Lock-failed algorithms never run perturbed schedules (the serial
-    # loop fails each check outright); everyone else fans out in waves so
-    # a time budget can stop between them.  Cache-served signatures never
-    # fan out either — their verdicts are re-judged below.
-    results: dict[tuple[str, int], tuple[str, object]] = {}
-    pending = []
-    for nm in live:
-        if lock_problems[nm]:
             continue
-        for idx in indices:
-            hit = (store.get(_sig_key(nm, cfg, derive_schedule(seed, idx)))
-                   if store is not None else MISS)
-            if hit is not MISS:
-                results[(nm, idx)] = ("ok", hit)
-            else:
-                pending.append((nm, idx))
-    # Without a time budget there is nothing to check between waves — one
-    # pool over all runs amortizes the spawn start-up cost best.
-    wave = (len(pending) if time_budget is None
-            else max(1, int(workers)) * 4)
-    skipped_from: dict[str, int] = {}
-    pos = 0
-    while pos < len(pending):
-        if _exhausted():
-            for nm, idx in pending[pos:]:
-                skipped_from.setdefault(nm, idx)
-            break
-        batch = pending[pos:pos + wave]
-        outs = parallel_map(
-            _perturbed_task,
-            [(nm, cfg, derive_schedule(seed, idx)) for nm, idx in batch],
-            workers=workers, retry=retry, task_timeout=task_timeout,
-            on_error="collect")
-        for (nm, idx), outcome in zip(batch, outs):
-            if outcome.ok:
-                results[(nm, idx)] = outcome.value
-                status, value = outcome.value
-                if status == "ok" and store is not None:
-                    store.put(_sig_key(nm, cfg, derive_schedule(seed, idx)),
-                              value)
-            else:
-                results[(nm, idx)] = ("raised", _lost_in_executor(outcome))
-        pos += len(batch)
+        live.append(name)
+        status, value = _finding(outcome, "baseline")
+        # No baseline, or one off the committed lock, means nothing to
+        # judge against: every schedule of the algorithm inherits the
+        # failure rather than masking it, and none of them runs.
+        if status == "ok":
+            base_sigs[name] = value
+            problems[name] = _check_lock(name, value["volume"], cfg,
+                                         lock_path)
+        else:
+            base_sigs[name], problems[name] = None, value
+
+    indices = range(first_schedule, first_schedule + schedules)
+    specs = [derive_schedule(seed, index) for index in indices]
+    tasks = [(name, cfg, spec_str) for name in live if not problems[name]
+             for spec_str in specs]
+    perturbed = dict(zip(((t[0], t[2]) for t in tasks), _signatures(tasks)))
     for name in live:
-        base_sig = base_sigs.get(name)
-        lock_problem = lock_problems[name]
-        for index in indices:
-            if name in skipped_from and index >= skipped_from[name]:
+        for index, spec_str in zip(indices, specs):
+            outcome = perturbed.get((name, spec_str))
+            if outcome is not None and outcome.status == "skipped":
                 report.skipped.append(
                     f"{name}: schedules {index}.. skipped (time budget)")
                 break
-            spec_str = derive_schedule(seed, index)
-            sseed = int(spec_str.partition(":")[2])
-            check = SchedFuzzCheck(algorithm=name, index=index, seed=seed,
-                                   schedule_seed=sseed, schedule=spec_str)
+            check = SchedFuzzCheck(
+                algorithm=name, index=index, seed=seed,
+                schedule_seed=int(spec_str.partition(":")[2]),
+                schedule=spec_str)
             report.checks.append(check)
-            if lock_problem:
-                check.outcome = "failed"
-                check.detail = lock_problem
-                report.artifacts.append(_dump_artifact(
-                    artifact_dir, check, cfg, base_sig, None))
-                continue
-            status, value = results[(name, index)]
-            got_sig = value if status == "ok" else None
-            mismatch = (value if status != "ok"
-                        else _diff_signatures(base_sig, got_sig))
+            got_sig = None
+            mismatch = problems[name]
+            if not mismatch:
+                status, value = _finding(outcome, "perturbed")
+                if status == "ok":
+                    got_sig = value
+                    mismatch = _diff_signatures(base_sigs[name], got_sig)
+                else:
+                    mismatch = value
             if mismatch:
                 check.outcome = "failed"
                 check.detail = mismatch
                 report.artifacts.append(_dump_artifact(
-                    artifact_dir, check, cfg, base_sig, got_sig))
+                    artifact_dir, check, cfg, base_sigs[name], got_sig))
     return report

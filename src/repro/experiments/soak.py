@@ -400,8 +400,15 @@ def _run_trial(task: tuple) -> tuple[SoakTrial, list[str]]:
     return trial, artifacts
 
 
-#: Run-cache namespace for soak trial verdicts (bump on schema change).
-SOAK_NAMESPACE = "soak-v1"
+#: Run-cache namespace for soak trial verdicts (bump on schema change;
+#: v2 stores the work unit's ``(trial, artifacts)`` pair, v1 the trial).
+SOAK_NAMESPACE = "soak-v2"
+
+
+def _settled(value: tuple[SoakTrial, list[str]]) -> bool:
+    """Whether a trial result may be cached: a clean, final verdict."""
+    trial, artifacts = value
+    return trial.outcome in ("ok", "declared") and not artifacts
 
 
 def _executor_casualty(index: int, seed: int, sched_spec: str,
@@ -412,13 +419,11 @@ def _executor_casualty(index: int, seed: int, sched_spec: str,
     there is no in-trial verdict to report — synthesize one so the
     campaign stays complete and loud instead of aborting.
     """
-    last = (outcome.error or "").strip().splitlines()
     return SoakTrial(
         index=index, seed=seed, algorithm="(executor)", p=0, c=0, n=0,
         dim=0, nsteps=0, rcut=None, workload="-", schedule="",
         schedule_policy=sched_spec, outcome="failed",
-        detail=(f"executor: {outcome.status} after {outcome.attempts} "
-                f"attempt(s) — {last[-1] if last else 'no detail'}"))
+        detail=f"executor: {outcome.describe_loss()}")
 
 
 def run_soak(
@@ -440,8 +445,9 @@ def run_soak(
     ``first_trial`` offsets the trial indices (trial ``i`` is a pure
     function of ``(seed, i)``), so a failing trial from a long campaign can
     be replayed alone.  ``out_dir`` receives failure artifacts (default: a
-    temporary directory).  ``time_budget`` (wall seconds) stops the
-    campaign early, marking the remaining trials ``skipped``.
+    temporary directory).  ``time_budget`` (wall seconds) becomes the
+    executor's ``deadline``: trials not yet started when it passes are
+    marked ``skipped`` (they still report the configuration they drew).
 
     ``schedule`` (a :class:`~repro.simmpi.schedule.SchedulePolicy` spec
     string, e.g. ``"adversarial"`` or ``"random:7"``) perturbs the
@@ -450,114 +456,48 @@ def run_soak(
     simultaneously exercises fault recovery *and* schedule independence.
     The policy spec is recorded on every trial and in failure artifacts.
 
-    ``workers > 0`` executes trials across that many supervised worker
-    processes (:func:`repro.core.parallel.run_supervised`).  Trials are
-    pure in ``(seed, index)``, so the report is bitwise-identical to the
-    serial run — including trials retried after a worker crash; with a
-    ``time_budget`` the cutoff is checked between waves of
-    ``4 * workers`` trials rather than before every trial, so *which*
-    trials get skipped may differ from the serial run (the trials that do
-    run are still identical).
-
-    ``retry`` (a :class:`~repro.core.parallel.RetryPolicy` or an int max
-    attempts) and ``task_timeout`` (seconds) govern the executor's
-    crash/hang recovery for the worker fleet; a trial its worker loses
-    beyond every retry is reported as a failed ``(executor)`` trial and
-    quarantined to ``<out_dir>/quarantine.json`` instead of sinking the
-    campaign.  Both are executor-level knobs: with ``workers=0`` the
-    trial function runs in-process and never raises, so they are no-ops.
-
-    ``cache`` (a directory path or :class:`~repro.core.runcache.RunCache`)
-    serves previously-settled verdicts: a trial that completed ``ok`` or
-    ``declared`` in an earlier campaign with the same ``(seed, index,
-    with_kills, schedule)`` is not re-simulated.  Failed and skipped
-    trials are never cached — they recompute (and re-dump artifacts)
-    every time.
+    ``workers`` / ``retry`` / ``task_timeout`` / ``cache`` go to the one
+    cached fan-out, :func:`repro.core.parallel.cached_map`
+    (``docs/resilient-sweeps.md``); trials are pure in ``(seed, index)``,
+    so the report is bitwise-identical for any worker count.  Keys are
+    ``(seed, index, with_kills, schedule)`` in :data:`SOAK_NAMESPACE`;
+    only ``ok`` / ``declared`` trials that wrote no artifact are
+    cacheable — failed trials recompute (and re-dump artifacts) every
+    time.  A trial the executor loses beyond every retry is reported as
+    a failed ``(executor)`` trial and quarantined to
+    ``<out_dir>/quarantine.json`` instead of sinking the campaign.
     """
-    from repro.core.parallel import parallel_map, write_quarantine
-    from repro.core.runcache import MISS, resolve_cache
+    from repro.core.parallel import cached_map, write_quarantine
+    from repro.core.runcache import resolve_cache
 
     report = SoakReport(seed=seed)
-    t0 = time.monotonic()
+    deadline = (None if time_budget is None
+                else time.monotonic() + time_budget)
     artifact_dir = out_dir or tempfile.mkdtemp(prefix="chaos-soak-")
-    indices = list(range(first_trial, first_trial + trials))
     sched_spec = "fifo" if schedule is None else str(schedule)
-    store = resolve_cache(cache, namespace=SOAK_NAMESPACE)
-
-    def _key(index: int) -> str:
-        return (f"seed={seed};index={index};kills={with_kills};"
-                f"schedule={sched_spec}")
-
-    cached: dict[int, SoakTrial] = {}
-    if store is not None:
-        for index in indices:
-            hit = store.get(_key(index))
-            if hit is not MISS:
-                cached[index] = hit
-    todo = [i for i in indices if i not in cached]
-
-    results: dict[int, tuple[SoakTrial, list[str]]] = {}
-    poisoned_tasks: list = []
-    poisoned_outcomes: list = []
-
-    def _exhausted() -> bool:
-        return time_budget is not None and time.monotonic() - t0 > time_budget
-
-    def _absorb(index: int, trial: SoakTrial, artifacts: list[str]) -> None:
-        results[index] = (trial, artifacts)
-        if (store is not None and trial.outcome in ("ok", "declared")
-                and not artifacts):
-            store.put(_key(index), trial)
-
-    if workers <= 0:
-        for index in todo:
-            trial, artifacts = _run_trial(
-                (seed, index, with_kills, schedule, artifact_dir,
-                 _exhausted()))
-            _absorb(index, trial, artifacts)
-    else:
-        # Without a time budget there is nothing to check between waves —
-        # one fleet over all trials amortizes the spawn start-up cost best.
-        wave = (len(todo) if time_budget is None
-                else max(1, int(workers)) * 4)
-        pos = 0
-        while pos < len(todo):
-            exhausted = _exhausted()
-            batch = todo[pos:] if exhausted else todo[pos:pos + wave]
-            tasks = [(seed, i, with_kills, schedule, artifact_dir, exhausted)
-                     for i in batch]
-            if exhausted:
-                # Skipped trials only draw their configuration — no point
-                # paying worker start-up for them.
-                for task in tasks:
-                    trial, artifacts = _run_trial(task)
-                    _absorb(task[1], trial, artifacts)
-            else:
-                outs = parallel_map(_run_trial, tasks, workers=workers,
-                                    retry=retry, task_timeout=task_timeout,
-                                    on_error="collect")
-                for task, outcome in zip(tasks, outs):
-                    index = task[1]
-                    if outcome.ok:
-                        trial, artifacts = outcome.value
-                        _absorb(index, trial, artifacts)
-                    else:
-                        outcome.index = len(poisoned_tasks)
-                        poisoned_tasks.append(task)
-                        poisoned_outcomes.append(outcome)
-                        results[index] = (_executor_casualty(
-                            index, seed, sched_spec, outcome), [])
-            pos += len(batch)
-
-    if poisoned_tasks:
-        qpath = write_quarantine(
-            os.path.join(artifact_dir, "quarantine.json"),
-            poisoned_tasks, poisoned_outcomes)
-        if qpath:
-            report.artifacts.append(qpath)
-    for index in indices:
-        trial, artifacts = ((cached[index], []) if index in cached
-                            else results[index])
+    indices = range(first_trial, first_trial + trials)
+    tasks = [(seed, i, with_kills, schedule, artifact_dir, False)
+             for i in indices]
+    keys = [f"seed={seed};index={i};kills={with_kills};schedule={sched_spec}"
+            for i in indices]
+    outcomes = cached_map(
+        _run_trial, tasks, keys=keys, cacheable=_settled,
+        store=resolve_cache(cache, namespace=SOAK_NAMESPACE),
+        workers=workers, retry=retry, task_timeout=task_timeout,
+        deadline=deadline)
+    qpath = write_quarantine(os.path.join(artifact_dir, "quarantine.json"),
+                             tasks, outcomes)
+    if qpath:
+        report.artifacts.append(qpath)
+    for task, outcome in zip(tasks, outcomes):
+        if outcome.ok:
+            trial, artifacts = outcome.value
+        elif outcome.status == "skipped":
+            # Un-run: only draw the configuration it would have had.
+            trial, artifacts = _run_trial((*task[:-1], True))
+        else:
+            trial, artifacts = _executor_casualty(
+                task[1], seed, sched_spec, outcome), []
         report.trials.append(trial)
         report.artifacts.extend(artifacts)
     return report

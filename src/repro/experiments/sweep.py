@@ -2,22 +2,14 @@
 
 The ``python -m repro sweep`` engine.  A *sweep* is a batch of run
 descriptors — plain dicts naming a registered algorithm and its
-configuration knobs — executed through the supervised parallel executor
-(:func:`repro.core.parallel.run_supervised`: per-task retry / timeout /
-crash recovery) with a durable content-addressed result cache
-(:class:`repro.core.runcache.RunCache`) consulted *before* any compute:
-
-1. every descriptor is normalized (defaults filled, unknown keys
-   rejected) and fingerprinted — :func:`task_fingerprint` is a pure
-   function of the normalized descriptor;
-2. the cache is asked once per *unique* fingerprint; hits become
-   ``status="cached"`` outcomes without touching an engine, and
-   duplicate descriptors in the same batch are single-flighted into
-   ``status="coalesced"`` outcomes sharing the first instance's result;
-3. the misses run through the supervised executor (``workers``,
-   ``retry``, ``task_timeout``); successful results are stored back;
-4. tasks that failed every attempt land in a replayable JSON quarantine
-   artifact (:func:`replay_quarantine` re-runs exactly those units).
+configuration knobs.  Every descriptor is normalized (defaults filled,
+unknown keys rejected) and fingerprinted — :func:`task_fingerprint` is a
+pure function of the normalized descriptor — and the batch goes through
+the one cached fan-out, :func:`repro.core.parallel.cached_map` (policy:
+``docs/resilient-sweeps.md``), keyed on those fingerprints in the
+:data:`SWEEP_NAMESPACE` run cache; every computed record is cacheable.
+Tasks that failed every attempt land in a replayable JSON quarantine
+artifact (:func:`replay_quarantine` re-runs exactly those units).
 
 Because each sweep point is a pure function of its descriptor (the
 workload is synthesized from ``seed``), the merged report is
@@ -35,15 +27,12 @@ stale entries miss instead of mis-decoding.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.parallel import (
-    RetryPolicy, TaskOutcome, as_retry_policy, load_quarantine,
-    run_supervised, write_quarantine,
+    RetryPolicy, TaskOutcome, cached_map, load_quarantine, write_quarantine,
 )
-from repro.core.runcache import MISS, RunCache, resolve_cache
+from repro.core.runcache import RunCache, resolve_cache
 
 __all__ = [
     "SWEEP_NAMESPACE",
@@ -176,10 +165,6 @@ def sweep_task(desc: dict) -> dict:
     return record
 
 
-#: Backward-compatible private alias (pre-service name of the work unit).
-_sweep_task = sweep_task
-
-
 @dataclass
 class SweepReport:
     """Every sweep point's outcome plus cache/quarantine accounting."""
@@ -263,68 +248,22 @@ def run_sweep(
     fingerprint before anything executes — an interrupted sweep re-run
     with the same cache resumes from whatever completed earlier, and a
     fully warm cache serves the whole sweep with zero engine recomputes.
-    ``retry`` / ``task_timeout`` / ``workers`` go to
-    :func:`~repro.core.parallel.run_supervised`; ``quarantine`` names the
-    JSON artifact for tasks that failed every attempt.  Never raises on
-    task failure — inspect :attr:`SweepReport.failures` /
+    ``workers`` / ``retry`` / ``task_timeout`` / ``cache`` go to
+    :func:`~repro.core.parallel.cached_map`, which also single-flights
+    duplicate descriptors into ``"coalesced"`` outcomes; ``quarantine``
+    names the JSON artifact for tasks that failed every attempt.  Never
+    raises on task failure — inspect :attr:`SweepReport.failures` /
     :attr:`SweepReport.ok`.
-
-    Duplicate descriptors within one batch are **single-flighted**: only
-    the first instance of a fingerprint consults the cache and (on a
-    miss) executes; the duplicates share its in-memory result as
-    ``status="coalesced"`` outcomes.  That keeps the
-    :class:`~repro.core.runcache.CacheStats` accounting exact — one
-    lookup and at most one store per unique fingerprint, and a freshly
-    stored entry is never immediately re-read to serve its own batch
-    (which would double-count the computation as a cache hit).
     """
     descs = [normalize_task(t) for t in tasks]
     store = resolve_cache(cache, namespace=SWEEP_NAMESPACE)
-    outcomes: list[TaskOutcome | None] = [None] * len(descs)
-    misses: list[int] = []
-    first_by_fp: dict[str, int] = {}
-    followers: dict[int, list[int]] = {}
-    for i, d in enumerate(descs):
-        fp = task_fingerprint(d)
-        leader = first_by_fp.get(fp)
-        if leader is not None:
-            # Single-flight: defer until the leader's outcome is known.
-            followers.setdefault(leader, []).append(i)
-            continue
-        first_by_fp[fp] = i
-        if store is not None:
-            hit = store.get(fp)
-            if hit is not MISS:
-                outcomes[i] = TaskOutcome(index=i, status="cached",
-                                          value=hit, attempts=0)
-                continue
-        misses.append(i)
-    if misses:
-        ran = run_supervised(sweep_task, [descs[i] for i in misses],
-                             workers=workers, retry=retry,
-                             task_timeout=task_timeout)
-        for i, outcome in zip(misses, ran):
-            outcome.index = i
-            outcomes[i] = outcome
-            if outcome.status == "ok" and store is not None:
-                store.put(task_fingerprint(descs[i]), outcome.value)
-    for leader, dupes in followers.items():
-        lead = outcomes[leader]
-        for i in dupes:
-            if lead is not None and lead.ok:
-                outcomes[i] = TaskOutcome(index=i, status="coalesced",
-                                          value=lead.value, attempts=0)
-            else:
-                # The leader failed; the duplicate shares its fate (same
-                # fingerprint, same bits) without consuming attempts.
-                outcomes[i] = TaskOutcome(
-                    index=i, status=lead.status if lead else "failed",
-                    error=lead.error if lead else None, attempts=0)
-    done: list[TaskOutcome] = outcomes  # type: ignore[assignment]
+    outcomes = cached_map(
+        sweep_task, descs, keys=[task_fingerprint(d) for d in descs],
+        store=store, workers=workers, retry=retry, task_timeout=task_timeout)
     quarantine_path = None
     if quarantine:
-        quarantine_path = write_quarantine(quarantine, descs, done)
-    return SweepReport(tasks=descs, outcomes=done,
+        quarantine_path = write_quarantine(quarantine, descs, outcomes)
+    return SweepReport(tasks=descs, outcomes=outcomes,
                        cache_stats=None if store is None else store.stats,
                        quarantine=quarantine_path)
 

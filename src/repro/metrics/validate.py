@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from repro.machines.base import PARTICLE_BYTES
@@ -321,18 +322,11 @@ def _point_task(task: tuple) -> PointResult:
     """Parallel work unit: one sweep point of a *registered* model case.
 
     Cases are looked up by name in :data:`MODEL_CASES` because their
-    ``predict`` closures are not picklable — only registered cases with
-    the default machine factory fan out; everything else measures
-    serially.
+    ``predict`` closures are not picklable.
     """
     case_name, p, c, n, engine_tier = task
     return _measure_point(MODEL_CASES[case_name], p, c, n,
                           engine_tier=engine_tier)
-
-
-def _parallelizable(case: ModelCase, machine_factory) -> bool:
-    """Whether a case's points may run in worker processes."""
-    return machine_factory is None and MODEL_CASES.get(case.name) is case
 
 
 def _judge_case(case: ModelCase, points: list[PointResult], *,
@@ -373,6 +367,46 @@ def _point_key(case_name: str, p: int, c: int, n: int,
     return f"point;case={case_name};p={p};c={c};n={n};tier={engine_tier}"
 
 
+def _measure_cases(cases: list[ModelCase], *, machine_factory,
+                   engine_tier: str, workers: int, retry, task_timeout,
+                   cache) -> list[list[PointResult]]:
+    """Every sweep point of every case through one cached fan-out.
+
+    Returns one point list per case.  Registered cases under the default
+    machine factory are keyed on ``(case, p, c, n, engine_tier)`` in
+    :data:`VALIDATE_NAMESPACE` and may run in worker processes; an
+    ad-hoc case (or a custom ``machine_factory``) carries closures that
+    neither pickle nor show in a key, so its points have no key and
+    measure in-process.  Points lost beyond retry raise one aggregated
+    :class:`~repro.core.parallel.WorkerError`, after the measured ones
+    were stored.
+    """
+    from repro.core.parallel import cached_map, values_or_raise
+    from repro.core.runcache import resolve_cache
+
+    tasks = [(case.name, p, c, n, engine_tier)
+             for case in cases for p, c, n in case.sweep]
+    if machine_factory is None and all(
+            MODEL_CASES.get(case.name) is case for case in cases):
+        fn = _point_task
+        keys = [_point_key(*task) for task in tasks]
+        store = resolve_cache(cache, namespace=VALIDATE_NAMESPACE)
+    else:
+        by_name = {case.name: case for case in cases}
+
+        def fn(task):
+            name, p, c, n, tier = task
+            return _measure_point(by_name[name], p, c, n,
+                                  machine_factory=machine_factory,
+                                  engine_tier=tier)
+
+        keys, store, workers = [None] * len(tasks), None, 0
+    flat = iter(values_or_raise(cached_map(
+        fn, tasks, keys=keys, store=store, workers=workers, retry=retry,
+        task_timeout=task_timeout)))
+    return [list(islice(flat, len(case.sweep))) for case in cases]
+
+
 def validate_case(case: ModelCase, *, machine_factory=None,
                   band: tuple[float, float] | None = None,
                   spread: float | None = None,
@@ -384,51 +418,15 @@ def validate_case(case: ModelCase, *, machine_factory=None,
 
     ``engine_tier`` selects the simulator the sweep runs on (``"event"``
     or ``"heuristic"`` — both must satisfy the same closed forms).
-    ``workers > 0`` measures the sweep points in spawned worker
-    processes; this only applies to cases registered in
-    :data:`MODEL_CASES` under the default machine factory (ad-hoc cases
-    carry unpicklable closures and measure serially).  ``retry`` /
-    ``task_timeout`` add executor-level crash/hang recovery to that
-    fleet (:func:`repro.core.parallel.run_supervised`).
-
-    ``cache`` (a directory path or
-    :class:`~repro.core.runcache.RunCache`) serves previously measured
-    points keyed on ``(case, p, c, n, engine_tier)``; judgement always
-    re-runs against the current bands, so a cached sweep still fails a
-    tightened tolerance.  Like the fan-out, caching only applies to
-    registered cases under the default machine factory — an ad-hoc
-    case's closures are not represented in the key.
+    ``workers`` / ``retry`` / ``task_timeout`` / ``cache`` go to the one
+    cached fan-out (:func:`repro.core.parallel.cached_map`,
+    ``docs/resilient-sweeps.md``; keys and the ad-hoc-case exemption:
+    :func:`_measure_cases`).  Judgement always re-runs against the
+    current bands, so a cached sweep still fails a tightened tolerance.
     """
-    from repro.core.parallel import parallel_map
-    from repro.core.runcache import MISS, resolve_cache
-
-    store = (resolve_cache(cache, namespace=VALIDATE_NAMESPACE)
-             if _parallelizable(case, machine_factory) else None)
-    sweep = list(case.sweep)
-    points: list = [None] * len(sweep)
-    todo: list[int] = []
-    for i, (p, c, n) in enumerate(sweep):
-        if store is not None:
-            hit = store.get(_point_key(case.name, p, c, n, engine_tier))
-            if hit is not MISS:
-                points[i] = hit
-                continue
-        todo.append(i)
-    if todo:
-        if workers > 0 and _parallelizable(case, machine_factory):
-            measured = parallel_map(
-                _point_task,
-                [(case.name, *sweep[i], engine_tier) for i in todo],
-                workers=workers, retry=retry, task_timeout=task_timeout)
-        else:
-            measured = [_measure_point(case, *sweep[i],
-                                       machine_factory=machine_factory,
-                                       engine_tier=engine_tier)
-                        for i in todo]
-        for i, pt in zip(todo, measured):
-            points[i] = pt
-            if store is not None:
-                store.put(_point_key(case.name, *sweep[i], engine_tier), pt)
+    (points,) = _measure_cases(
+        [case], machine_factory=machine_factory, engine_tier=engine_tier,
+        workers=workers, retry=retry, task_timeout=task_timeout, cache=cache)
     return _judge_case(case, points, band=band, spread=spread)
 
 
@@ -443,16 +441,12 @@ def validate_models(names: list[str] | None = None, *,
     (``allpairs``).  ``machine_factory(p)`` overrides the machine model
     (default: a flat :class:`~repro.machines.GenericMachine`).
     ``engine_tier`` selects the simulator ("event" or "heuristic") — the
-    closed forms must hold on both.  ``workers > 0`` measures every sweep
-    point of every registered case in one flat fan-out over spawned
-    worker processes; each point is a pure function of
-    ``(case, p, c, n)``, so the report matches the serial run exactly.
-    ``retry`` / ``task_timeout`` / ``cache`` behave as on
-    :func:`validate_case` (with a ``cache``, lookups happen per case and
-    only the missing points fan out).
+    closed forms must hold on both.  Every sweep point of every selected
+    case goes through **one** cached fan-out (``workers`` / ``retry`` /
+    ``task_timeout`` / ``cache`` as on :func:`validate_case`); each point
+    is a pure function of ``(case, p, c, n)``, so the report is the same
+    for any worker count or cache state.
     """
-    from repro.core.parallel import parallel_map
-
     if names is None:
         selected = list(MODEL_CASES.values())
     else:
@@ -464,24 +458,9 @@ def validate_models(names: list[str] | None = None, *,
                 known = ", ".join(sorted(MODEL_CASES))
                 raise KeyError(f"no model case for {name!r} (known: {known})")
             selected.append(case)
-
-    if (cache is None and workers > 0
-            and all(_parallelizable(c, machine_factory) for c in selected)):
-        tasks = [(case.name, p, c, n, engine_tier)
-                 for case in selected for p, c, n in case.sweep]
-        flat = parallel_map(_point_task, tasks, workers=workers,
-                            retry=retry, task_timeout=task_timeout)
-        cases = []
-        pos = 0
-        for case in selected:
-            take = len(case.sweep)
-            cases.append(_judge_case(case, flat[pos:pos + take]))
-            pos += take
-        return ValidationReport(cases=cases)
-
+    measured = _measure_cases(
+        selected, machine_factory=machine_factory, engine_tier=engine_tier,
+        workers=workers, retry=retry, task_timeout=task_timeout, cache=cache)
     return ValidationReport(cases=[
-        validate_case(case, machine_factory=machine_factory,
-                      engine_tier=engine_tier, workers=workers,
-                      retry=retry, task_timeout=task_timeout, cache=cache)
-        for case in selected
-    ])
+        _judge_case(case, points)
+        for case, points in zip(selected, measured)])

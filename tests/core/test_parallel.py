@@ -14,26 +14,36 @@ worker is SIGKILLed mid-task, and a replayable JSON quarantine for
 tasks that fail every attempt.  The process-spawning tests here are
 deliberately few (each spawn costs ~1 s with NumPy); the chaos parity
 sweeps live in ``tests/integration`` and ``tools/host_chaos.py``.
+
+:func:`cached_map` is the one cached fan-out every harness enters the
+executor through; its policy (one lookup and at most one store per key,
+single-flight duplicates, caller-supplied cacheability, deadline skips)
+is pinned here on plain functions, without any harness around it.
 """
 
 import json
 import os
 import signal
+import time
 
 import pytest
 
+import repro.core.parallel as parallel
 from repro.core.parallel import (
     QUARANTINE_FORMAT,
     RetryPolicy,
     TaskOutcome,
     WorkerError,
     as_retry_policy,
+    cached_map,
     load_quarantine,
     parallel_map,
     run_supervised,
     spawn_seeds,
+    values_or_raise,
     write_quarantine,
 )
+from repro.core.runcache import RunCache
 
 
 def _square(x):
@@ -102,6 +112,15 @@ def _hang_once(task):
             pass
         time.sleep(600.0)
     return index - 7
+
+
+def _sleep_until(wall_deadline):
+    """Returns only once the (wall-clock) deadline has passed."""
+    import time
+
+    while time.time() <= wall_deadline:
+        time.sleep(0.02)
+    return wall_deadline
 
 
 class TestSerialFallback:
@@ -255,6 +274,158 @@ class TestCrashAndTimeoutRecovery:
             retry=RetryPolicy(max_attempts=2, base_delay=0.0))
         assert [o.value for o in outcomes] == [-7, -6, -5]
         assert outcomes[1].attempts == 2
+
+
+class TestDeadline:
+    """An expired ``deadline`` leaves tasks un-run, serial or pooled."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_expired_deadline_runs_nothing_and_spawns_nothing(
+            self, workers, monkeypatch):
+        def _no_fleet(*args, **kwargs):
+            raise AssertionError("an expired deadline must not spawn workers")
+
+        monkeypatch.setattr(parallel, "_supervise", _no_fleet)
+        ran = []
+        outcomes = run_supervised(ran.append, [1, 2, 3], workers=workers,
+                                  deadline=time.monotonic())
+        assert ran == []
+        assert [o.status for o in outcomes] == ["skipped"] * 3
+        assert [o.index for o in outcomes] == [0, 1, 2]
+        assert not any(o.ok or o.attempts for o in outcomes)
+
+    def test_deadline_is_checked_before_each_serial_task(self):
+        deadline = time.monotonic() + 0.05
+
+        def _slow(x):
+            time.sleep(0.1)
+            return x
+
+        outcomes = run_supervised(_slow, [1, 2, 3], deadline=deadline)
+        assert [o.status for o in outcomes] == ["ok", "skipped", "skipped"]
+
+    def test_pooled_deadline_lets_running_tasks_finish(self):
+        budget = 3.0
+        wall = time.time() + budget
+        outcomes = run_supervised(_sleep_until, [wall] * 5, workers=2,
+                                  deadline=time.monotonic() + budget)
+        statuses = [o.status for o in outcomes]
+        nrun = statuses.count("ok")
+        # whatever was dispatched before the deadline ran to completion
+        # (at most one task per worker: each outlives the deadline);
+        # everything behind it in the queue came back un-run
+        assert nrun <= 2
+        assert statuses == ["ok"] * nrun + ["skipped"] * (5 - nrun)
+        assert all(o.value == wall for o in outcomes[:nrun])
+
+    def test_skipped_tasks_are_not_quarantined(self, tmp_path):
+        path = str(tmp_path / "q.json")
+        run_supervised(_square, [1, 2], deadline=time.monotonic(),
+                       quarantine=path)
+        assert not os.path.exists(path)
+
+
+class TestCachedMap:
+    """The cached fan-out policy, on a counting in-process function."""
+
+    @pytest.fixture
+    def calls(self):
+        return []
+
+    @pytest.fixture
+    def fn(self, calls):
+        def _fn(x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError(f"task payload {x} is cursed")
+            return x * x
+        return _fn
+
+    def test_duplicate_keys_single_flight(self, fn, calls, tmp_path):
+        store = RunCache(str(tmp_path))
+        outcomes = cached_map(fn, [3, 3, 4, 3], keys=["a", "a", "b", "a"],
+                              store=store)
+        assert calls == [3, 4]  # one execution per unique key
+        assert [o.status for o in outcomes] == [
+            "ok", "coalesced", "ok", "coalesced"]
+        assert [o.value for o in outcomes] == [9, 9, 16, 9]
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        assert [o.attempts for o in outcomes] == [1, 0, 1, 0]
+        # exact accounting: one lookup and one store per unique key, and
+        # the followers never re-read what the leader just stored
+        assert (store.stats.hits, store.stats.misses,
+                store.stats.stores) == (0, 2, 2)
+        warm = cached_map(fn, [3, 3, 4], keys=["a", "a", "b"], store=store)
+        assert calls == [3, 4]  # nothing recomputed
+        assert [o.status for o in warm] == ["cached", "coalesced", "cached"]
+        assert [o.value for o in warm] == [9, 9, 16]
+
+    def test_followers_share_a_failed_leaders_fate(self, fn, calls):
+        outcomes = cached_map(fn, [-1, -1, 2], keys=["bad", "bad", "ok"])
+        assert calls == [-1, 2]
+        assert [o.status for o in outcomes] == ["failed", "failed", "ok"]
+        assert outcomes[1].attempts == 0  # no second computation
+        assert outcomes[1].error == outcomes[0].error
+        assert not outcomes[1].ok
+
+    @pytest.mark.parametrize("keys, cacheable", [
+        ([None, None], None),                  # no key: never cached
+        (["a", "b"], lambda value: False),     # caller says: do not store
+    ])
+    def test_uncacheable_results_recompute_every_call(
+            self, fn, calls, tmp_path, keys, cacheable):
+        store = RunCache(str(tmp_path))
+        for _ in range(2):
+            outcomes = cached_map(fn, [5, 5], keys=keys, store=store,
+                                  cacheable=cacheable)
+            assert [o.status for o in outcomes] == ["ok", "ok"]
+            assert [o.value for o in outcomes] == [25, 25]
+        assert calls == [5, 5, 5, 5]
+        assert store.stats.stores == 0 and len(store) == 0
+
+    def test_cacheable_sees_the_value(self, fn, tmp_path):
+        store = RunCache(str(tmp_path))
+        cached_map(fn, [2, 3], keys=["even", "odd"], store=store,
+                   cacheable=lambda value: value % 2 == 0)
+        again = cached_map(fn, [2, 3], keys=["even", "odd"], store=store)
+        assert [o.status for o in again] == ["cached", "ok"]
+
+    def test_expired_deadline_dispatches_nothing(self, fn, calls, tmp_path):
+        store = RunCache(str(tmp_path))
+        cached_map(fn, [2], keys=["a"], store=store)
+        outcomes = cached_map(fn, [2, 7, 7], keys=["a", "b", "b"],
+                              store=store, deadline=time.monotonic())
+        assert calls == [2]  # only the warm-up ran
+        # the cache still serves; un-run leaders take followers with them
+        assert [o.status for o in outcomes] == [
+            "cached", "skipped", "skipped"]
+        assert store.stats.stores == 1
+
+    def test_corrupt_entry_evicted_recomputed_restored(
+            self, fn, calls, tmp_path):
+        store = RunCache(str(tmp_path))
+        cached_map(fn, [6], keys=["k"], store=store)
+        path = store.path_for("k")
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-3])  # torn write
+        outcomes = cached_map(fn, [6], keys=["k"], store=store)
+        assert outcomes[0].status == "ok" and outcomes[0].value == 36
+        assert calls == [6, 6]
+        assert store.stats.evictions == 1
+        assert store.stats.stores == 2  # cold put + the restore
+        assert store.get("k") == 36
+
+    def test_ok_values_stored_before_the_caller_sees_a_failure(
+            self, fn, tmp_path):
+        store = RunCache(str(tmp_path))
+        outcomes = cached_map(fn, [1, -1, 2], keys=["a", "b", "c"],
+                              store=store)
+        with pytest.raises(WorkerError) as err:
+            values_or_raise(outcomes)
+        assert err.value.indices == [1]
+        assert store.stats.stores == 2
+        assert store.get("a") == 1 and store.get("c") == 4
 
 
 class TestQuarantine:

@@ -85,6 +85,37 @@ def test_workload_synthesis(machine):
     np.testing.assert_array_equal(a.run.forces.shape, b.run.forces.shape)
 
 
+def test_lost_row_keeps_completed_rows_in_the_cache(
+        machine, particles, tmp_path, monkeypatch):
+    """A re-run with the same cache resumes from whatever completed."""
+    from repro.core.parallel import WorkerError
+    from repro.core.runcache import RunCache
+    from repro.experiments import compare
+
+    names = ["allpairs", "symmetric", "particle_ring"]
+    real_task = compare._compare_task
+
+    def _poisoned(task):
+        if task[1] == "symmetric":
+            raise RuntimeError("poisoned row")
+        return real_task(task)
+
+    monkeypatch.setattr(compare, "_compare_task", _poisoned)
+    with pytest.raises(WorkerError) as err:
+        compare_algorithms(machine, particles, c=2, algorithms=names,
+                           retry=1, cache=str(tmp_path))
+    assert err.value.indices == [1]
+    assert "poisoned row" in err.value.remote_traceback
+    monkeypatch.undo()
+
+    cache = RunCache(str(tmp_path), namespace=compare.COMPARE_NAMESPACE)
+    result = compare_algorithms(machine, particles, c=2, algorithms=names,
+                                cache=cache)
+    assert [e.algorithm for e in result.entries] == names
+    assert cache.stats.hits == 2  # the rows that survived the first call
+    assert cache.stats.stores == 1  # only the lost row was computed
+
+
 def test_render_table(machine, particles):
     result = compare_algorithms(machine, particles, c=2,
                                 algorithms=["allpairs", "symmetric",

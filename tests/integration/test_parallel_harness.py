@@ -28,7 +28,7 @@ from repro.experiments.schedfuzz import run_schedfuzz
 from repro.experiments.soak import SOAK_NAMESPACE, run_soak
 from repro.experiments.sweep import expand_grid, run_sweep
 from repro.machines import GenericMachine
-from repro.metrics.validate import validate_models
+from repro.metrics.validate import VALIDATE_NAMESPACE, validate_models
 
 pytestmark = pytest.mark.slow
 
@@ -113,6 +113,33 @@ class TestValidateParity:
         report = validate_models(["allpairs"], engine_tier="heuristic",
                                  workers=WORKERS)
         assert report.ok, report.summary()
+
+    def test_cold_cache_fans_every_case_out_in_one_fleet(
+            self, tmp_path, monkeypatch):
+        import repro.core.parallel as parallel
+
+        fleets = []
+        real_supervise = parallel._supervise
+
+        def _counting(fn, tasks, *args, **kwargs):
+            fleets.append(len(tasks))
+            return real_supervise(fn, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_supervise", _counting)
+        names = ["allpairs", "particle_ring"]
+        cache = RunCache(str(tmp_path), namespace=VALIDATE_NAMESPACE)
+        fleet = validate_models(names, workers=WORKERS, cache=cache)
+        npoints = sum(len(cv.points) for cv in fleet.cases)
+        # one pool for every missing point of every case, not one per case
+        assert fleets == [npoints]
+        assert cache.stats.misses == cache.stats.stores == npoints
+        serial = validate_models(names)
+        assert fleet.ok and fleet.summary() == serial.summary()
+        # and the warm run spawns nothing at all
+        warm = validate_models(names, workers=WORKERS, cache=cache)
+        assert fleets == [npoints]
+        assert cache.stats.hits == npoints
+        assert warm.summary() == serial.summary()
 
 
 class TestRetriedRunParity:

@@ -91,6 +91,41 @@ class TestParser:
         assert policy.base_delay == 0.2
 
 
+    def test_executor_flags_read_through_one_helper(self):
+        from repro.cli import _executor_args
+
+        p = build_parser()
+        for command in ("compare", "soak", "schedfuzz", "sweep", "serve"):
+            assert _executor_args(p.parse_args([command])) == {
+                "workers": 0, "retry": None, "task_timeout": None,
+                "cache": None}
+            got = _executor_args(p.parse_args(
+                [command, "--workers", "3", "--retry", "1",
+                 "--task-timeout", "9", "--cache", "cdir"]))
+            assert got["workers"] == 3 and got["retry"].max_attempts == 2
+            assert got["task_timeout"] == 9.0 and got["cache"] == "cdir"
+
+
+class TestSoak:
+    def test_failure_prints_the_replay_command(self, monkeypatch, capsys):
+        from repro.experiments import soak
+
+        def _failing_campaign(**kwargs):
+            trial = soak.SoakTrial(
+                index=7, seed=kwargs["seed"], algorithm="allpairs", p=8,
+                c=2, n=40, dim=1, nsteps=3, rcut=None, workload="uniform",
+                schedule="", outcome="failed", detail="forces mismatch")
+            return soak.SoakReport(seed=kwargs["seed"], trials=[trial])
+
+        monkeypatch.setattr(soak, "run_soak", _failing_campaign)
+        code, out = run_cli("soak", "--trials", "12", "--seed", "5",
+                            "--schedule", "adversarial")
+        assert code == 1
+        assert "trial   7 [failed" in out
+        assert ("SOAK FAILED: rerun with --seed 5 --first-trial 7 "
+                "--trials 1 --schedule adversarial") in capsys.readouterr().err
+
+
 class TestFigures:
     def test_single_panel(self):
         code, out = run_cli("figures", "2a")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Host-level chaos gate: kill real workers, demand bitwise-identical results.
 
-Where ``tools/chaos_soak.py`` injects faults into the *simulated* machine,
+Where ``python -m repro soak`` injects faults into the *simulated* machine,
 this gate injects them into the *host* executor: the ``REPRO_HOST_CHAOS``
 hook (see ``repro.core.parallel``) SIGKILLs, hangs, or crashes worker
 processes mid-task, deterministically in ``(seed, task index, attempt)``.
