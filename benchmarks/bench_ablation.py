@@ -21,7 +21,7 @@ import dataclasses
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core import run_cutoff_virtual
+from repro.core import RunSpec, run
 from repro.machines import Hopper, Intrepid
 from repro.model import allgather_baseline_breakdown, allpairs_breakdown
 
@@ -119,14 +119,16 @@ def test_eager_protocol_shrinks_imbalance_waits(benchmark):
     the boundary teams' waiting in the cutoff shifts."""
     m = Hopper(96, cores_per_node=12)
 
-    def run():
-        rendezvous = run_cutoff_virtual(m, 8192, 2, rcut=0.25, box_length=1.0,
-                                        dim=1, eager_threshold=0)
-        eager = run_cutoff_virtual(m, 8192, 2, rcut=0.25, box_length=1.0,
-                                   dim=1, eager_threshold=1 << 30)
+    def measure():
+        rendezvous = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192,
+                                 c=2, rcut=0.25, box_length=1.0, dim=1,
+                                 eager_threshold=0))
+        eager = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192, c=2,
+                            rcut=0.25, box_length=1.0, dim=1,
+                            eager_threshold=1 << 30))
         return rendezvous, eager
 
-    rdv, eag = benchmark.pedantic(run, rounds=1, iterations=1)
+    rdv, eag = benchmark.pedantic(measure, rounds=1, iterations=1)
     s_r = rdv.report.max_time("shift")
     s_e = eag.report.max_time("shift")
     emit(f"max shift phase: rendezvous={s_r * 1e3:.3f}ms, "

@@ -11,12 +11,7 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core import (
-    run_allpairs_virtual,
-    run_cutoff,
-    run_cutoff_virtual,
-    run_symmetric_virtual,
-)
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
 from repro.physics import ForceLaw, ParticleSet, two_phase
 
@@ -26,14 +21,14 @@ def test_symmetric_variant_halves_computation(benchmark):
     m = Hopper(96, cores_per_node=12)
     n = 8192
 
-    def run():
-        std = run_allpairs_virtual(m, n, 2)
-        sym = run_symmetric_virtual(m, n, 2)
+    def measure():
+        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n, c=2))
+        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=n, c=2))
         return std, sym
 
-    std, sym = benchmark.pedantic(run, rounds=1, iterations=1)
-    scans_std = sum(r.npairs for r in std.results)
-    scans_sym = sum(r.npairs for r in sym.results)
+    std, sym = benchmark.pedantic(measure, rounds=1, iterations=1)
+    scans_std = sum(r.npairs for r in std.run.results)
+    scans_sym = sum(r.npairs for r in sym.run.results)
     t_std, t_sym = std.elapsed, sym.elapsed
     emit(f"pair evaluations: standard={scans_std}, symmetric={scans_sym} "
          f"({scans_std / scans_sym:.3f}x fewer); simulated step time "
@@ -76,19 +71,19 @@ def test_periodic_boundaries_remove_load_imbalance(benchmark):
     m = Hopper(96, cores_per_node=12)
     n = 9216  # divisible by the 96 teams: equal blocks isolate the window effect
 
-    def run():
-        refl = run_cutoff_virtual(m, n, 1, rcut=0.25, box_length=1.0, dim=1,
-                                  periodic=False)
-        per = run_cutoff_virtual(m, n, 1, rcut=0.25, box_length=1.0, dim=1,
-                                 periodic=True)
+    def measure():
+        refl = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=n, c=1,
+                           rcut=0.25, box_length=1.0, dim=1, periodic=False))
+        per = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=n, c=1,
+                          rcut=0.25, box_length=1.0, dim=1, periodic=True))
         return refl, per
 
-    refl, per = benchmark.pedantic(run, rounds=1, iterations=1)
-    spread_refl = max(r.npairs for r in refl.results) - min(
-        r.npairs for r in refl.results
+    refl, per = benchmark.pedantic(measure, rounds=1, iterations=1)
+    spread_refl = max(r.npairs for r in refl.run.results) - min(
+        r.npairs for r in refl.run.results
     )
-    spread_per = max(r.npairs for r in per.results) - min(
-        r.npairs for r in per.results
+    spread_per = max(r.npairs for r in per.run.results) - min(
+        r.npairs for r in per.run.results
     )
     shift_refl = refl.report.max_time("shift")
     shift_per = per.report.max_time("shift")
@@ -104,21 +99,21 @@ def test_periodic_boundaries_remove_load_imbalance(benchmark):
 def test_weighted_decomposition_rebalances_clusters(benchmark):
     """Equal-count (quantile) team boundaries fix the imbalance that
     clustered workloads inflict on the paper's equal-cell decomposition."""
-    from repro.core import run_cutoff as _run_cutoff
     from repro.physics import weighted_geometry
 
     m = GenericTorus(nranks=16, cores_per_node=4)
     law = ForceLaw()
     ps = two_phase(800, 1, 1.0, dense_fraction=0.85, dense_extent=0.2, seed=1)
 
-    def run():
-        eq = _run_cutoff(m, ps, 1, rcut=0.1, box_length=1.0, law=law)
+    def measure():
+        eq = run(RunSpec(machine=m, algorithm="cutoff", particles=ps, c=1,
+                         rcut=0.1, box_length=1.0, law=law))
         g = weighted_geometry(ps, (16,), 1.0)
-        wt = _run_cutoff(m, ps, 1, rcut=0.1, box_length=1.0, law=law,
-                         geometry=g)
+        wt = run(RunSpec(machine=m, algorithm="cutoff", particles=ps, c=1,
+                         rcut=0.1, box_length=1.0, law=law, geometry=g))
         return eq, wt
 
-    eq, wt = benchmark.pedantic(run, rounds=1, iterations=1)
+    eq, wt = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     def imbalance(r):
         scans = [x.npairs for x in r.run.results]
@@ -144,12 +139,14 @@ def test_nonuniform_distribution_breaks_load_balance(benchmark):
     clustered = two_phase(n, 2, 1.0, dense_fraction=0.85, dense_extent=0.25,
                           seed=0)
 
-    def run():
-        u = run_cutoff(m, uniform, 2, rcut=0.3, box_length=1.0, law=law)
-        c = run_cutoff(m, clustered, 2, rcut=0.3, box_length=1.0, law=law)
+    def measure():
+        u = run(RunSpec(machine=m, algorithm="cutoff", particles=uniform, c=2,
+                        rcut=0.3, box_length=1.0, law=law))
+        c = run(RunSpec(machine=m, algorithm="cutoff", particles=clustered,
+                        c=2, rcut=0.3, box_length=1.0, law=law))
         return u, c
 
-    u, c = benchmark.pedantic(run, rounds=1, iterations=1)
+    u, c = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     def imbalance(run_result):
         per_rank = [r.npairs for r in run_result.run.results]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core import run_allpairs_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus
 from repro.simmpi import FaultSchedule, KillRank
 from repro.simmpi.tracing import RECOVER_PHASE
@@ -44,14 +44,15 @@ def test_recovery_overhead_vs_c(benchmark, c):
     """Simulated cost of absorbing one rank death, per replication factor."""
     machine = GenericTorus(nranks=_P, cores_per_node=4)
 
-    clean = run_allpairs_virtual(machine, _N, c)
+    clean = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=c))
 
-    def run():
-        return run_allpairs_virtual(machine, _N, c,
-                                    faults=_kill_schedule(c))
+    def measure():
+        return run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                           c=c, faults=_kill_schedule(c)))
 
-    faulty = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert faulty.deaths, "the kill schedule must actually fire"
+    faulty = benchmark.pedantic(measure, rounds=3, iterations=1)
+    assert faulty.run.deaths, "the kill schedule must actually fire"
 
     overhead = faulty.elapsed / clean.elapsed - 1.0
     recover_s = faulty.report.max_time(RECOVER_PHASE)
@@ -66,12 +67,14 @@ def test_recovery_overhead_vs_c(benchmark, c):
 def test_fault_free_schedule_is_free(benchmark):
     """An attached-but-empty schedule must not change the virtual clocks."""
     machine = GenericTorus(nranks=_P, cores_per_node=4)
-    baseline = run_allpairs_virtual(machine, _N, 4)
+    baseline = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                           c=4))
 
-    def run():
-        return run_allpairs_virtual(machine, _N, 4, faults=FaultSchedule())
+    def measure():
+        return run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                           c=4, faults=FaultSchedule()))
 
-    result = benchmark(run)
+    result = benchmark(measure)
     assert result.elapsed == baseline.elapsed
     assert np.isclose(result.elapsed, baseline.elapsed, rtol=0, atol=0)
     emit(f"empty schedule: elapsed {result.elapsed * 1e3:.3f} ms "

@@ -51,15 +51,16 @@ def test_engine_allreduce_throughput(benchmark):
 def test_engine_thousand_rank_ca_step(benchmark):
     """A full CA interaction step on 1,024 simulated ranks (c=8):
     demonstrates the engine's headroom for mid-scale exact simulation."""
-    from repro.core import run_allpairs_virtual
+    from repro.core import RunSpec, run
 
     machine = GenericTorus(nranks=1024, cores_per_node=4)
 
-    def run():
-        return run_allpairs_virtual(machine, 16384, 8)
+    def measure():
+        return run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                           n=16384, c=8))
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert sum(r.npairs for r in result.results) == 16384 * 16384
+    result = benchmark.pedantic(measure, rounds=1, iterations=1)
+    assert sum(r.npairs for r in result.run.results) == 16384 * 16384
 
 
 @pytest.mark.benchmark(group="substrate")

@@ -11,7 +11,7 @@ load imbalance.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core import run_allpairs_virtual, run_cutoff_virtual
+from repro.core import RunSpec, run
 from repro.experiments import FIG2, FIG6, render_figure, validate_figure
 from repro.machines import Hopper, Intrepid
 
@@ -50,21 +50,19 @@ def test_fig6_shape_event_simulation(benchmark):
 @pytest.mark.benchmark(group="validation")
 def test_intrepid_tree_network_event_simulation(benchmark):
     """The c=1 tree/no-tree gap, via actual hardware-collective simulation."""
-    from repro.core import run_particle_allgather
     from repro.physics import ParticleSet
 
     ps = ParticleSet.uniform_random(2048, 2, 1.0, seed=0)
 
-    def run():
-        tree = run_particle_allgather(
-            Intrepid(64, cores_per_node=4), ps, use_tree=True
-        )
-        soft = run_particle_allgather(
-            Intrepid(64, cores_per_node=4, tree=False), ps
-        )
+    def measure():
+        tree = run(RunSpec(machine=Intrepid(64, cores_per_node=4),
+                           algorithm="particle_allgather", particles=ps,
+                           use_tree=True))
+        soft = run(RunSpec(machine=Intrepid(64, cores_per_node=4, tree=False),
+                           algorithm="particle_allgather", particles=ps))
         return tree, soft
 
-    tree, soft = benchmark.pedantic(run, rounds=1, iterations=1)
+    tree, soft = benchmark.pedantic(measure, rounds=1, iterations=1)
     t, s = tree.report.max_time("allgather"), soft.report.max_time("allgather")
     emit(f"allgather on 64 Intrepid cores: tree={t * 1e6:.1f}us, "
          f"torus={s * 1e6:.1f}us ({s / t:.1f}x slower)")
@@ -76,13 +74,14 @@ def test_superlinear_shift_reduction(benchmark):
     """Equation 5's c^2 latency reduction, measured on simulated messages."""
     m = Hopper(192, cores_per_node=12)
 
-    def run():
+    def measure():
         return {
-            c: run_allpairs_virtual(m, 8192, c).report.max_messages("shift")
+            c: run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+                           c=c)).report.max_messages("shift")
             for c in (1, 2, 4, 8)
         }
 
-    msgs = benchmark.pedantic(run, rounds=1, iterations=1)
+    msgs = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit(f"shift messages per rank: {msgs}")
     assert msgs[1] / msgs[4] >= 12  # ~c^2 = 16 with skew slack
     assert msgs[2] / msgs[8] >= 12
@@ -95,18 +94,19 @@ def test_strong_scaling_shape_event_simulation(benchmark):
     n = 8192
     sizes = (32, 64, 128, 256)
 
-    def run():
+    def measure():
         out = {}
         for c in (1, 4):
             series = []
             for p in sizes:
                 m = Hopper(p, cores_per_node=8)
-                r = run_allpairs_virtual(m, n, c)
+                r = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n,
+                                c=c))
                 series.append((p, r.elapsed))
             out[c] = series
         return out
 
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     def efficiency(sery):
         p0, t0 = sery[0]
@@ -126,11 +126,12 @@ def test_cutoff_boundary_imbalance(benchmark):
     """Boundary teams scan fewer pairs — the paper's load-imbalance source."""
     m = Hopper(96, cores_per_node=12)
 
-    def run():
-        return run_cutoff_virtual(m, 8192, 1, rcut=0.25, box_length=1.0, dim=1)
+    def measure():
+        return run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192, c=1,
+                           rcut=0.25, box_length=1.0, dim=1))
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    pairs = {r.col: r.npairs for r in result.results}
+    result = benchmark.pedantic(measure, rounds=1, iterations=1)
+    pairs = {r.col: r.npairs for r in result.run.results}
     corner, interior = pairs[0], pairs[48]
     emit(f"scanned pairs: corner team={corner}, interior team={interior}")
     assert corner < 0.7 * interior

@@ -16,9 +16,10 @@ Four short experiments:
 import numpy as np
 
 from repro.core import (
+    RunSpec,
     SimulationConfig,
     allpairs_config,
-    run_cutoff_virtual,
+    run,
     run_simulation,
     team_blocks_even,
 )
@@ -53,13 +54,13 @@ def periodic_imbalance() -> None:
     print("=== 2. Boundary load imbalance, reflective vs periodic ===")
     m = Hopper(96, cores_per_node=12)
     for periodic in (False, True):
-        run = run_cutoff_virtual(m, 9216, 1, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=periodic)
-        pairs = [r.npairs for r in run.results]
+        res = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=9216, c=1,
+                          rcut=0.25, box_length=1.0, dim=1, periodic=periodic))
+        pairs = [r.npairs for r in res.run.results]
         label = "periodic  " if periodic else "reflective"
         print(f"  {label}: scans min={min(pairs)} max={max(pairs)} "
               f"(spread {max(pairs) - min(pairs)}), "
-              f"max shift wait {run.report.max_time('shift') * 1e3:.3f} ms")
+              f"max shift wait {res.report.max_time('shift') * 1e3:.3f} ms")
     print("  (the paper attributes its cutoff inefficiency to this "
           "boundary effect)\n")
 

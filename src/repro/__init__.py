@@ -28,12 +28,13 @@ The package provides, from the bottom up:
 
 Quickstart::
 
-    from repro.core import run_allpairs
+    from repro.core import RunSpec, run
     from repro.machines import GenericMachine
     from repro.physics import ParticleSet
 
     particles = ParticleSet.uniform_random(512, dim=2, box_length=1.0)
-    out = run_allpairs(GenericMachine(nranks=16), particles, c=4)
+    out = run(RunSpec(machine=GenericMachine(nranks=16), algorithm="allpairs",
+                      particles=particles, c=4))
     print(out.report.summary())
 """
 

@@ -4,8 +4,9 @@
 * :mod:`repro.core.ca_step` — the unified CA interaction step;
 * :mod:`repro.core.runner` — the algorithm registry and the single run
   pipeline every entry point executes through;
-* :mod:`repro.core.allpairs` / :mod:`repro.core.cutoff` — user-facing
-  entry points (functional and modeled);
+* :mod:`repro.core.allpairs` / :mod:`repro.core.cutoff` /
+  :mod:`repro.core.symmetric` / :mod:`repro.core.systolic` — the CA
+  family and its systolic relatives, as registered adapters;
 * :mod:`repro.core.baselines` — particle/force/spatial decompositions;
 * :mod:`repro.core.midpoint` — the neutral-territory midpoint baseline;
 * :mod:`repro.core.driver` — multi-timestep simulations with spatial
@@ -13,12 +14,7 @@
 * :mod:`repro.core.tuning` — runtime autotuner for the replication factor.
 """
 
-from repro.core.allpairs import (
-    AllPairsRun,
-    allpairs_config,
-    run_allpairs,
-    run_allpairs_virtual,
-)
+from repro.core.allpairs import allpairs_config
 from repro.core.runner import (
     Algorithm,
     Prepared,
@@ -31,13 +27,6 @@ from repro.core.runner import (
     run,
 )
 from repro.core.checkpoint import CheckpointPolicy, simulation_fingerprint
-from repro.core.baselines import (
-    BaselineRun,
-    run_force_decomposition,
-    run_particle_allgather,
-    run_particle_ring,
-    run_spatial,
-)
 from repro.core.ca_step import CAConfig, CAStepResult, ca_interaction_step
 from repro.core.commsched import (
     CommSchedule,
@@ -49,12 +38,7 @@ from repro.core.commsched import (
     scheduled_step,
     systolic_ring_rounds,
 )
-from repro.core.cutoff import (
-    CutoffRun,
-    cutoff_config,
-    run_cutoff,
-    run_cutoff_virtual,
-)
+from repro.core.cutoff import cutoff_config
 from repro.core.decomposition import (
     collect_leader_forces,
     distribute_from_root,
@@ -63,25 +47,13 @@ from repro.core.decomposition import (
     team_blocks_spatial,
     virtual_team_blocks,
 )
-from repro.core.midpoint import run_midpoint
 from repro.core.driver import (
     SimulationConfig,
     SimulationRun,
     run_simulation,
     run_simulation_virtual,
 )
-from repro.core.symmetric import (
-    SymmetricRun,
-    ca_symmetric_step,
-    run_symmetric,
-    run_symmetric_virtual,
-    symmetric_config,
-)
-from repro.core.systolic import (
-    run_half_systolic,
-    run_hyper_systolic,
-    run_systolic_ring,
-)
+from repro.core.symmetric import ca_symmetric_step, symmetric_config
 from repro.core.tuning import TuningResult, autotune_c, candidate_cs
 from repro.core.window import (
     ShiftSchedule,
@@ -92,13 +64,10 @@ from repro.core.window import (
 
 __all__ = [
     "Algorithm",
-    "AllPairsRun",
-    "BaselineRun",
     "CAConfig",
     "CAStepResult",
     "CheckpointPolicy",
     "CommSchedule",
-    "CutoffRun",
     "Prepared",
     "Run",
     "RunSpec",
@@ -121,24 +90,9 @@ __all__ = [
     "list_algorithms",
     "register_algorithm",
     "run",
-    "run_allpairs",
-    "run_allpairs_virtual",
-    "run_cutoff",
-    "run_cutoff_virtual",
-    "run_force_decomposition",
-    "run_half_systolic",
-    "run_hyper_systolic",
-    "run_particle_allgather",
-    "run_midpoint",
-    "run_particle_ring",
     "run_simulation",
     "run_simulation_virtual",
-    "run_spatial",
-    "run_symmetric",
-    "run_symmetric_virtual",
-    "run_systolic_ring",
     "simulation_fingerprint",
-    "SymmetricRun",
     "ca_symmetric_step",
     "half_ring_schedule",
     "half_systolic_rounds",

@@ -6,9 +6,10 @@ ordered forces.  At ``c = 1`` the configuration degenerates into Plimpton's
 particle decomposition (a systolic ring); at ``c = sqrt(p)`` into his force
 decomposition — exactly as the paper observes.
 
-Both entry points are registered adapters over the single run pipeline
-(:mod:`repro.core.runner`); :func:`run_allpairs` / :func:`run_allpairs_virtual`
-survive as thin shims over ``run(RunSpec(algorithm="allpairs", ...))``.
+Both variants are registered adapters over the single run pipeline
+(:mod:`repro.core.runner`), launched as
+``run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=c))`` or
+``run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n, c=c))``.
 """
 
 from __future__ import annotations
@@ -19,21 +20,13 @@ from repro.core.decomposition import (
     team_blocks_even,
     virtual_team_blocks,
 )
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.core.window import all_pairs_schedule
-from repro.physics.forces import ForceLaw
 from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.physics.particles import ParticleSet
 from repro.simmpi.engine import RunResult
-from repro.simmpi.faults import FaultSchedule
 from repro.simmpi.topology import ReplicatedGrid
 
-__all__ = ["AllPairsRun", "allpairs_config", "run_allpairs", "run_allpairs_virtual"]
-
-#: Deprecated alias — the per-variant result dataclasses collapsed into
-#: :class:`repro.core.runner.Run`.
-AllPairsRun = Run
+__all__ = ["allpairs_config"]
 
 
 def allpairs_config(p: int, c: int, *, layout: str = "rows") -> CAConfig:
@@ -55,6 +48,16 @@ def allpairs_config(p: int, c: int, *, layout: str = "rows") -> CAConfig:
     summary="Algorithm 1: CA all-pairs with replication factor c",
 )
 def _prepare_allpairs(spec: RunSpec) -> Prepared:
+    """All-pairs forces, functional end to end.
+
+    The particle set is divided evenly among team leaders, every rank runs
+    :func:`~repro.core.ca_step.ca_interaction_step`, and the per-team
+    leader forces are collected and ordered by particle id.  With a
+    :class:`~repro.simmpi.faults.FaultSchedule` the resilient step variant
+    runs instead: rank deaths are absorbed by replication-aware recovery
+    (``c >= 2`` required for kills) and forces are collected from each
+    team's acting leader.
+    """
     cfg = allpairs_config(spec.machine.nranks, spec.c, layout=spec.layout)
     kernel = kernel_for(spec.law, pair_counter=spec.pair_counter,
                         scratch=spec.scratch, metrics=spec.metrics)
@@ -78,73 +81,10 @@ def _prepare_allpairs(spec: RunSpec) -> Prepared:
     summary="Modeled CA all-pairs: phantom blocks, machine-model timing",
 )
 def _prepare_allpairs_virtual(spec: RunSpec) -> Prepared:
+    """Phantom particles, real communication structure, machine-model
+    timing; the trace report carries the per-phase breakdown."""
     cfg = allpairs_config(spec.machine.nranks, spec.c, layout=spec.layout)
     kernel = VirtualKernel(dim=2 if spec.dim is None else spec.dim)
     blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
     return Prepared(program=ca_program(cfg, kernel, blocks,
                                        resilient=spec.faults is not None))
-
-
-def run_allpairs(
-    machine,
-    particles: ParticleSet,
-    c: int,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    layout: str = "rows",
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Compute all-pairs forces for ``particles`` on ``machine`` with
-    replication factor ``c``; functional (real data) end to end.
-
-    The particle set is divided evenly among team leaders, the engine runs
-    :func:`~repro.core.ca_step.ca_interaction_step` on every rank, and the
-    per-team leader forces are collected and ordered by particle id.
-
-    With a :class:`~repro.simmpi.faults.FaultSchedule` the resilient step
-    variant runs instead, rank deaths are absorbed via replication-aware
-    recovery (``c >= 2`` required for kills), and forces are collected from
-    each team's acting leader.
-
-    ``scratch=False`` routes the kernel through the allocating reference
-    path and ``engine_opts`` forwards keyword arguments to the engine
-    constructor (e.g. ``{"fast_path": False}``); both knobs exist so the
-    determinism suite can lock the fast paths against the reference ones.
-
-    Shim over the registry pipeline — equivalent to
-    ``run(RunSpec(machine, "allpairs", particles=particles, c=c, ...))``.
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="allpairs", particles=particles, c=c,
-        law=law, pair_counter=pair_counter, eager_threshold=eager_threshold,
-        layout=layout, faults=faults, scratch=scratch,
-        engine_opts=engine_opts,
-    ))
-
-
-def run_allpairs_virtual(
-    machine,
-    n: int,
-    c: int,
-    *,
-    dim: int = 2,
-    eager_threshold: int = 0,
-    layout: str = "rows",
-    faults: FaultSchedule | None = None,
-    engine_opts: dict | None = None,
-) -> RunResult:
-    """Modeled all-pairs step: phantom particles, real communication
-    structure, machine-model timing.  Returns the engine result whose trace
-    report carries the per-phase breakdown.
-
-    Shim over the registry pipeline (algorithm ``"allpairs_virtual"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="allpairs_virtual", n=n, c=c, dim=dim,
-        eager_threshold=eager_threshold, layout=layout, faults=faults,
-        engine_opts=engine_opts,
-    )).run

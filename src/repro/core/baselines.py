@@ -1,29 +1,30 @@
 """Baseline decompositions the paper compares against or degenerates into.
 
-* :func:`run_particle_allgather` — the naive particle decomposition
+* ``particle_allgather`` — the naive particle decomposition
   (Section II-B): every processor owns ``n/p`` particles and obtains all
   others, here via an allgather.  On Intrepid this collective can ride the
   dedicated tree network (the paper's "c=1 (tree)" runs) or be forced onto
   the torus ("c=1 (no-tree)").  Costs: ``S = O(p)`` software /
   ``O(log p)`` hardware, ``W = O(n)``.
-* :func:`run_particle_ring` — the same decomposition with a systolic ring
+* ``particle_ring`` — the same decomposition with a systolic ring
   of shifts; identical to the CA algorithm at ``c = 1``.
-* :func:`run_force_decomposition` — Plimpton's force decomposition
+* ``force_decomposition`` — Plimpton's force decomposition
   (Section II-B): a ``sqrt(p) x sqrt(p)`` grid where processor ``(i, j)``
   computes the interactions of particle block ``i`` with block ``j``.
   Costs: ``S = O(log p)``, ``W = O(n / sqrt(p))`` — the ``c = sqrt(p)``
   extreme of the CA family.
-* :func:`run_spatial` — the classic spatial decomposition with a cutoff
+* ``spatial`` — the classic spatial decomposition with a cutoff
   (Section II-C): every processor owns one region and exchanges halos with
   the ``O(m^d)`` neighbor regions its cutoff reaches.
 
 All are functional: they move real particle data and must (and do, per the
 tests) reproduce the serial reference forces exactly like the CA runs.
 All four are registered adapters over the single run pipeline
-(:mod:`repro.core.runner`): the ``run_*`` signatures survive as thin shims,
-and the pipeline threads ``faults`` (transient schedules — the engine's
-retry protocol; these decompositions have no kill-recovery path),
-``scratch`` and ``engine_opts`` through every one uniformly.
+(:mod:`repro.core.runner`), launched as
+``run(RunSpec(machine=m, algorithm="<name>", particles=ps, ...))``; the
+pipeline threads ``faults`` (transient schedules — the engine's retry
+protocol; these decompositions have no kill-recovery path), ``scratch``
+and ``engine_opts`` through every one uniformly.
 """
 
 from __future__ import annotations
@@ -31,29 +32,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.decomposition import team_blocks_even, team_blocks_spatial
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.machines.torus import balanced_dims
 from repro.physics.domain import TeamGeometry
-from repro.physics.forces import ForceLaw
 from repro.physics.kernels import kernel_for
 from repro.physics.particles import HomeBlock, ParticleSet, TravelBlock
-from repro.simmpi.engine import RunResult
-from repro.simmpi.faults import FaultSchedule
 
-__all__ = [
-    "BaselineRun",
-    "run_force_decomposition",
-    "run_particle_allgather",
-    "run_particle_ring",
-    "run_spatial",
-]
+__all__: list[str] = []
 
 _HALO_TAG = 11
-
-#: Deprecated alias — the per-variant result dataclasses collapsed into
-#: :class:`repro.core.runner.Run`.
-BaselineRun = Run
 
 
 def _collect(results, owner_ranks) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +61,13 @@ def _collect(results, owner_ranks) -> tuple[np.ndarray, np.ndarray]:
     summary="Naive particle decomposition: allgather all blocks (tree-capable)",
 )
 def _prepare_particle_allgather(spec: RunSpec) -> Prepared:
+    """Naive particle decomposition via allgather of all particle blocks.
+
+    ``spec.use_tree`` posts the allgather on the machine's dedicated
+    collective network (requires a machine with hardware collectives, e.g.
+    :func:`~repro.machines.Intrepid`); otherwise the software
+    recursive-doubling/ring allgather runs over the torus.
+    """
     machine = spec.machine
     p = machine.nranks
     use_tree = spec.use_tree
@@ -145,6 +139,13 @@ def _prepare_particle_ring(spec: RunSpec) -> Prepared:
     summary="Plimpton force decomposition on a sqrt(p) x sqrt(p) grid",
 )
 def _prepare_force_decomposition(spec: RunSpec) -> Prepared:
+    """Plimpton's force decomposition on a ``sqrt(p) x sqrt(p)`` grid.
+
+    Processor ``(i, j)`` receives particle block ``i`` (broadcast along
+    grid row ``i`` from the diagonal owner) and block ``j`` (broadcast
+    along grid column ``j``), computes the forces of block ``j`` on block
+    ``i``, and row-reduces the partial forces back to the diagonal.
+    """
     machine = spec.machine
     p = machine.nranks
     q = int(round(p**0.5))
@@ -200,6 +201,13 @@ def _prepare_force_decomposition(spec: RunSpec) -> Prepared:
     summary="Spatial decomposition: one region per rank, cutoff halo exchange",
 )
 def _prepare_spatial(spec: RunSpec) -> Prepared:
+    """Spatial decomposition: one region per processor, halo exchange.
+
+    Every processor owns the particles of its region and point-to-point
+    exchanges blocks with each of the ``O(m^d)`` neighbor regions within
+    the cutoff (no replication, ``M = O(n/p)`` — the minimal-memory point
+    of the lower bound, Section II-C).
+    """
     machine = spec.machine
     p = machine.nranks
     particles = spec.workload()
@@ -244,118 +252,3 @@ def _prepare_spatial(spec: RunSpec) -> Prepared:
 
     return Prepared(program=program,
                     collect=lambda run: _collect(run.results, range(p)))
-
-
-def run_particle_allgather(
-    machine,
-    particles: ParticleSet,
-    *,
-    law: ForceLaw | None = None,
-    use_tree: bool = False,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Naive particle decomposition via allgather of all particle blocks.
-
-    ``use_tree=True`` posts the allgather on the machine's dedicated
-    collective network (requires a machine with hardware collectives, e.g.
-    :func:`~repro.machines.Intrepid`); otherwise the software
-    recursive-doubling/ring allgather runs over the torus.
-
-    Shim over the registry pipeline (algorithm ``"particle_allgather"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="particle_allgather",
-        particles=particles, law=law, use_tree=use_tree,
-        pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))
-
-
-def run_particle_ring(
-    machine,
-    particles: ParticleSet,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Particle decomposition with a systolic ring of ``p`` shifts.
-
-    This is exactly the CA algorithm at ``c = 1`` (each team is one
-    processor); provided standalone for clarity and as an independent
-    implementation the equivalence tests compare against.
-
-    Shim over the registry pipeline (algorithm ``"particle_ring"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="particle_ring", particles=particles,
-        law=law, pair_counter=pair_counter,
-        eager_threshold=eager_threshold, faults=faults, scratch=scratch,
-        engine_opts=engine_opts,
-    ))
-
-
-def run_force_decomposition(
-    machine,
-    particles: ParticleSet,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Plimpton's force decomposition on a ``sqrt(p) x sqrt(p)`` grid.
-
-    Processor ``(i, j)`` receives particle block ``i`` (broadcast along
-    grid row ``i`` from the diagonal owner) and block ``j`` (broadcast
-    along grid column ``j``), computes the forces of block ``j`` on block
-    ``i``, and row-reduces the partial forces back to the diagonal.
-
-    Shim over the registry pipeline (algorithm ``"force_decomposition"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="force_decomposition",
-        particles=particles, law=law, pair_counter=pair_counter,
-        eager_threshold=eager_threshold, faults=faults, scratch=scratch,
-        engine_opts=engine_opts,
-    ))
-
-
-def run_spatial(
-    machine,
-    particles: ParticleSet,
-    *,
-    rcut: float,
-    box_length: float,
-    dim: int | None = None,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Spatial decomposition: one region per processor, halo exchange.
-
-    Every processor owns the particles of its region and point-to-point
-    exchanges blocks with each of the ``O(m^d)`` neighbor regions within
-    the cutoff (no replication, ``M = O(n/p)`` — the minimal-memory point
-    of the lower bound, Section II-C).
-
-    Shim over the registry pipeline (algorithm ``"spatial"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="spatial", particles=particles,
-        rcut=rcut, box_length=box_length, dim=dim, law=law,
-        pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))

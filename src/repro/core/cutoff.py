@@ -9,9 +9,10 @@ window's ring arithmetic wraps across the (reflective, non-periodic) box
 boundary.  That pruning is what creates the boundary load imbalance the
 paper reports for its cutoff experiments.
 
-Both entry points are registered adapters over the single run pipeline
-(:mod:`repro.core.runner`); :func:`run_cutoff` / :func:`run_cutoff_virtual`
-survive as thin shims over ``run(RunSpec(algorithm="cutoff", ...))``.
+Both variants are registered adapters over the single run pipeline
+(:mod:`repro.core.runner`), launched as ``run(RunSpec(machine=m,
+algorithm="cutoff", particles=ps, c=c, rcut=r, box_length=L))`` (or
+``algorithm="cutoff_virtual"`` with ``n=`` instead of ``particles=``).
 """
 
 from __future__ import annotations
@@ -22,24 +23,16 @@ from repro.core.decomposition import (
     team_blocks_spatial,
     virtual_team_blocks,
 )
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.core.window import cutoff_schedule
 from repro.machines.torus import balanced_dims
 from repro.physics.domain import TeamGeometry
-from repro.physics.forces import ForceLaw
 from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.physics.particles import ParticleSet
 from repro.simmpi.engine import RunResult
-from repro.simmpi.faults import FaultSchedule
 from repro.simmpi.topology import ReplicatedGrid
 from repro.util import require
 
-__all__ = ["CutoffRun", "cutoff_config", "run_cutoff", "run_cutoff_virtual"]
-
-#: Deprecated alias — the per-variant result dataclasses collapsed into
-#: :class:`repro.core.runner.Run`.
-CutoffRun = Run
+__all__ = ["cutoff_config"]
 
 
 def cutoff_config(
@@ -99,6 +92,14 @@ def cutoff_config(
     summary="Algorithm 2: CA cutoff interactions on a spatial team grid",
 )
 def _prepare_cutoff(spec: RunSpec) -> Prepared:
+    """Cutoff-limited forces, functional end to end.
+
+    The force law's cutoff is forced to ``spec.rcut`` (pairs beyond it
+    contribute exactly zero).  Particles are spatially binned to team
+    leaders; forces come back ordered by particle id.  With a
+    :class:`~repro.simmpi.faults.FaultSchedule` the resilient step runs
+    and deaths are absorbed via replication-aware recovery (``c >= 2``).
+    """
     particles = spec.workload()
     dim = particles.dim if spec.dim is None else spec.dim
     require(dim <= particles.dim,
@@ -136,6 +137,8 @@ def _prepare_cutoff(spec: RunSpec) -> Prepared:
     summary="Modeled CA cutoff: phantom blocks, machine-model timing",
 )
 def _prepare_cutoff_virtual(spec: RunSpec) -> Prepared:
+    """Phantom uniform particle blocks (team grid ``dim`` defaults to 1),
+    real communication structure, machine-model timing."""
     dim = 1 if spec.dim is None else spec.dim
     cfg = cutoff_config(
         spec.machine.nranks, spec.c, rcut=spec.rcut,
@@ -146,68 +149,3 @@ def _prepare_cutoff_virtual(spec: RunSpec) -> Prepared:
     blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
     return Prepared(program=ca_program(cfg, kernel, blocks,
                                        resilient=spec.faults is not None))
-
-
-def run_cutoff(
-    machine,
-    particles: ParticleSet,
-    c: int,
-    *,
-    rcut: float,
-    box_length: float,
-    dim: int | None = None,
-    team_dims: tuple[int, ...] | None = None,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    periodic: bool = False,
-    geometry: TeamGeometry | None = None,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Compute cutoff-limited forces functionally on ``machine``.
-
-    The force law's cutoff is forced to ``rcut`` (pairs beyond it
-    contribute exactly zero).  Particles are spatially binned to team
-    leaders; forces come back ordered by particle id.  With a
-    :class:`~repro.simmpi.faults.FaultSchedule` the resilient step runs and
-    deaths are absorbed via replication-aware recovery (``c >= 2``).
-    ``scratch`` / ``engine_opts`` mirror :func:`run_allpairs`.
-
-    Shim over the registry pipeline (algorithm ``"cutoff"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="cutoff", particles=particles, c=c,
-        rcut=rcut, box_length=box_length, dim=dim, team_dims=team_dims,
-        law=law, pair_counter=pair_counter, eager_threshold=eager_threshold,
-        periodic=periodic, geometry=geometry, faults=faults,
-        scratch=scratch, engine_opts=engine_opts,
-    ))
-
-
-def run_cutoff_virtual(
-    machine,
-    n: int,
-    c: int,
-    *,
-    rcut: float,
-    box_length: float,
-    dim: int = 1,
-    team_dims: tuple[int, ...] | None = None,
-    eager_threshold: int = 0,
-    periodic: bool = False,
-    faults: FaultSchedule | None = None,
-    engine_opts: dict | None = None,
-) -> RunResult:
-    """Modeled cutoff step: phantom uniform particle blocks, real
-    communication structure, machine-model timing.
-
-    Shim over the registry pipeline (algorithm ``"cutoff_virtual"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="cutoff_virtual", n=n, c=c, rcut=rcut,
-        box_length=box_length, dim=dim, team_dims=team_dims,
-        eager_threshold=eager_threshold, periodic=periodic, faults=faults,
-        engine_opts=engine_opts,
-    )).run

@@ -31,16 +31,13 @@ import numpy as np
 
 from repro.core.baselines import _collect
 from repro.core.decomposition import team_blocks_spatial
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.machines.torus import balanced_dims
 from repro.physics.domain import TeamGeometry, team_of_positions
-from repro.physics.forces import ForceLaw
 from repro.physics.kernels import kernel_for
-from repro.physics.particles import ParticleSet, TravelBlock
-from repro.simmpi.faults import FaultSchedule
+from repro.physics.particles import TravelBlock
 
-__all__ = ["run_midpoint"]
+__all__: list[str] = []
 
 _HALO_TAG = 17
 _RETURN_TAG = 19
@@ -135,33 +132,3 @@ def _prepare_midpoint(spec: RunSpec) -> Prepared:
 
     return Prepared(program=program,
                     collect=lambda run: _collect(run.results, range(p)))
-
-
-def run_midpoint(
-    machine,
-    particles: ParticleSet,
-    *,
-    rcut: float,
-    box_length: float,
-    dim: int | None = None,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """Cutoff-limited forces via the midpoint method.
-
-    One region per processor; each processor imports the blocks of every
-    region within ``r_c / 2`` of its own, computes the pairs whose midpoint
-    it owns, and returns contributions for imported particles.
-
-    Shim over the registry pipeline (algorithm ``"midpoint"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="midpoint", particles=particles,
-        rcut=rcut, box_length=box_length, dim=dim, law=law,
-        pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))

@@ -30,7 +30,7 @@ the serial loop:
   in-process under the same retry policy and deadline: no pool, no
   pickling.  It is every harness's reference path, not a second loop.
 
-Three layers, lowest first:
+Two layers, lowest first:
 
 * :func:`run_supervised` — the executor.  Never raises on task failure;
   returns one :class:`TaskOutcome` per task (``ok`` / ``failed`` /
@@ -42,9 +42,9 @@ Three layers, lowest first:
   executor through: run-cache lookup, in-batch single-flight, supervised
   execution of the misses, store, ordered merge
   (``docs/resilient-sweeps.md`` defines the policy).
-* :func:`parallel_map` — the plain map API on the supervisor
-  (a result list, :class:`WorkerError` on failure;
-  ``on_error="collect"`` returns the outcome list instead).
+
+:func:`values_or_raise` turns either layer's outcome list into plain
+values in task order, raising :class:`WorkerError` if any task was lost.
 
 ``spawn`` is deliberate: it is the only start method that is both
 portable (fork is unavailable on Windows and unsound with threads) and
@@ -86,7 +86,6 @@ __all__ = [
     "as_retry_policy",
     "cached_map",
     "load_quarantine",
-    "parallel_map",
     "run_supervised",
     "spawn_seeds",
     "values_or_raise",
@@ -228,11 +227,10 @@ class WorkerError(RuntimeError):
         self.index = first.index
         self.remote_traceback = first.error or ""
         if len(self.failures) == 1:
-            head = (f"parallel_map task {first.index} failed in a worker "
-                    f"process")
+            head = f"task {first.index} failed"
         else:
-            head = (f"parallel_map: {len(self.failures)} tasks failed in "
-                    f"worker processes (indices {self.indices})")
+            head = (f"{len(self.failures)} tasks failed "
+                    f"(indices {self.indices})")
         body = "\n".join(
             f"[task {f.index}: {f.status} after {f.attempts} attempt(s)]\n"
             f"{(f.error or '').rstrip()}"
@@ -728,65 +726,3 @@ def values_or_raise(outcomes: Sequence[TaskOutcome]) -> list[Any]:
     if failures:
         raise WorkerError(failures)
     return [o.value for o in outcomes]
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    *,
-    workers: int = 0,
-    retry: RetryPolicy | int | None = None,
-    task_timeout: float | None = None,
-    on_error: str = "raise",
-) -> list[Any]:
-    """Map ``fn`` over ``tasks``, optionally across worker processes.
-
-    Parameters
-    ----------
-    fn:
-        A module-level callable of one argument (must be picklable by
-        reference when ``workers > 0``).  Each task should be pure in its
-        argument — no reliance on parent-process state.  Shipped once per
-        worker, not once per task.
-    tasks:
-        The work units; materialized to a list up front so the result
-        order is the task order.
-    workers:
-        ``0`` (default) runs serially in-process.  ``>= 1`` runs a
-        supervised fleet of ``min(workers, len(tasks))`` spawned
-        processes (see :func:`run_supervised`).
-    retry:
-        A :class:`RetryPolicy`, an int (max attempts), or ``None`` (one
-        attempt).  Worker crashes and timeouts consume attempts too.
-    task_timeout:
-        Seconds before a running task's worker is killed and the attempt
-        counted as ``timeout`` (workers > 0 only).
-    on_error:
-        ``"raise"`` (default): return plain results; if any task failed
-        every attempt, raise :class:`WorkerError` aggregating *all*
-        failures.  ``"collect"``: never raise on task failure; return
-        the full :class:`TaskOutcome` list instead.
-
-    Returns
-    -------
-    list:
-        ``[fn(t) for t in tasks]`` in task order (``on_error="raise"``),
-        or one :class:`TaskOutcome` per task (``on_error="collect"``).
-
-    Raises
-    ------
-    WorkerError:
-        With ``on_error="raise"``, when tasks fail beyond retry; names
-        every failed index and carries the remote tracebacks.  (In the
-        plain serial mode — no retry — the original exception
-        propagates natively, unchanged from PR 7.)
-    """
-    if on_error not in ("raise", "collect"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'collect', got {on_error!r}")
-    tasks = list(tasks)
-    if workers <= 0 and retry is None and on_error == "raise":
-        return [fn(t) for t in tasks]
-    outcomes = run_supervised(fn, tasks, workers=workers, retry=retry,
-                              task_timeout=task_timeout)
-    return outcomes if on_error == "collect" else values_or_raise(outcomes)

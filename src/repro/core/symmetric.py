@@ -31,27 +31,13 @@ from repro.core.decomposition import (
     team_blocks_even,
     virtual_team_blocks,
 )
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.core.window import half_ring_schedule
-from repro.physics.forces import ForceLaw
 from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.physics.particles import ParticleSet
 from repro.simmpi.engine import RunResult
-from repro.simmpi.faults import FaultSchedule
 from repro.simmpi.topology import ReplicatedGrid
 
-__all__ = [
-    "SymmetricRun",
-    "ca_symmetric_step",
-    "run_symmetric",
-    "run_symmetric_virtual",
-    "symmetric_config",
-]
-
-#: Deprecated alias — the per-variant result dataclasses collapsed into
-#: :class:`repro.core.runner.Run`.
-SymmetricRun = Run
+__all__ = ["ca_symmetric_step", "symmetric_config"]
 
 
 def symmetric_config(p: int, c: int) -> CAConfig:
@@ -115,52 +101,3 @@ def _prepare_symmetric_virtual(spec: RunSpec) -> Prepared:
     kernel = VirtualKernel(dim=2 if spec.dim is None else spec.dim)
     blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
     return Prepared(program=_symmetric_program(cfg, kernel, blocks))
-
-
-def run_symmetric(
-    machine,
-    particles: ParticleSet,
-    c: int,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """All-pairs forces via the symmetric variant; functional end to end.
-
-    ``faults`` accepts transient (delay/drop/corrupt) schedules — the
-    engine's retry protocol absorbs them; rank kills are rejected (the
-    symmetric step has no replication-aware recovery path).  ``scratch`` /
-    ``engine_opts`` mirror :func:`~repro.core.allpairs.run_allpairs`.
-
-    Shim over the registry pipeline (algorithm ``"symmetric"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="symmetric", particles=particles, c=c,
-        law=law, pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))
-
-
-def run_symmetric_virtual(
-    machine,
-    n: int,
-    c: int,
-    *,
-    dim: int = 2,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    engine_opts: dict | None = None,
-) -> RunResult:
-    """Modeled symmetric step (phantom blocks, machine-model timing).
-
-    Shim over the registry pipeline (algorithm ``"symmetric_virtual"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="symmetric_virtual", n=n, c=c, dim=dim,
-        eager_threshold=eager_threshold, faults=faults,
-        engine_opts=engine_opts,
-    )).run

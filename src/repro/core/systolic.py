@@ -23,7 +23,10 @@ directly on the shared communication-schedule IR
 
 All three run at ``c = 1`` (every rank is its own team leader — no
 broadcast or reduction phases); ``hyper_systolic`` instead spends its
-memory on the ``K - 1`` registers, tunable via ``RunSpec.hyper_k``.
+memory on the ``K - 1`` registers, tunable via ``RunSpec.hyper_k``
+(``None`` picks the regular ``O(sqrt(p))`` base).  Transient fault
+schedules are absorbed by the engine's retry protocol; rank kills are
+rejected (the ring has no replication to recover from).
 Closed forms live in :mod:`repro.theory.costs`; the heuristic tier
 replays the identical IR (:mod:`repro.simmpi.fastsim`).
 """
@@ -31,26 +34,17 @@ replays the identical IR (:mod:`repro.simmpi.fastsim`).
 from __future__ import annotations
 
 from repro.core.commsched import (
-    default_hyper_k,
     half_systolic_rounds,
     hyper_systolic_rounds,
     scheduled_program,
     systolic_ring_rounds,
 )
 from repro.core.decomposition import collect_leader_forces, team_blocks_even
-from repro.core.runner import Prepared, Run, RunSpec, register_algorithm
-from repro.core.runner import run as run_pipeline
-from repro.physics.forces import ForceLaw
+from repro.core.runner import Prepared, RunSpec, register_algorithm
 from repro.physics.kernels import kernel_for
-from repro.physics.particles import ParticleSet
-from repro.simmpi.faults import FaultSchedule
 from repro.simmpi.topology import ReplicatedGrid
 
-__all__ = [
-    "run_half_systolic",
-    "run_hyper_systolic",
-    "run_systolic_ring",
-]
+__all__: list[str] = []
 
 
 def _prepare(spec: RunSpec, cs) -> Prepared:
@@ -100,77 +94,3 @@ def _prepare_hyper_systolic(spec: RunSpec) -> Prepared:
     """Adapter for the hyper-systolic schedule (``spec.hyper_k`` = K)."""
     return _prepare(
         spec, hyper_systolic_rounds(spec.machine.nranks, spec.hyper_k))
-
-
-def run_systolic_ring(
-    machine,
-    particles: ParticleSet,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """All-pairs forces via the systolic ring; functional end to end.
-
-    ``faults`` accepts transient (delay/drop/corrupt) schedules — the
-    engine's retry protocol absorbs them; rank kills are rejected (the
-    ring has no replication to recover from).
-
-    Shim over the registry pipeline (algorithm ``"systolic_ring"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="systolic_ring", particles=particles,
-        law=law, pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))
-
-
-def run_half_systolic(
-    machine,
-    particles: ParticleSet,
-    *,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """All-pairs forces via the half-ring systolic variant.
-
-    Shim over the registry pipeline (algorithm ``"half_systolic"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="half_systolic", particles=particles,
-        law=law, pair_counter=pair_counter, eager_threshold=eager_threshold,
-        faults=faults, scratch=scratch, engine_opts=engine_opts,
-    ))
-
-
-def run_hyper_systolic(
-    machine,
-    particles: ParticleSet,
-    *,
-    hyper_k: int | None = None,
-    law: ForceLaw | None = None,
-    pair_counter=None,
-    eager_threshold: int = 0,
-    faults: FaultSchedule | None = None,
-    scratch: bool = True,
-    engine_opts: dict | None = None,
-) -> Run:
-    """All-pairs forces via hyper-systolic routing with K = ``hyper_k``.
-
-    ``hyper_k=None`` picks the regular ``O(sqrt(p))`` base.
-
-    Shim over the registry pipeline (algorithm ``"hyper_systolic"``).
-    """
-    return run_pipeline(RunSpec(
-        machine=machine, algorithm="hyper_systolic", particles=particles,
-        hyper_k=hyper_k, law=law, pair_counter=pair_counter,
-        eager_threshold=eager_threshold, faults=faults, scratch=scratch,
-        engine_opts=engine_opts,
-    ))

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.allpairs import run_allpairs_virtual
-from repro.core.cutoff import cutoff_config, run_cutoff_virtual
+from repro.core.runner import RunSpec, run
 from repro.util import require
 
 __all__ = ["TuningResult", "autotune_c", "candidate_cs"]
@@ -91,16 +90,15 @@ def autotune_c(
         require(p % c == 0, f"candidate c={c} does not divide p={p}")
 
     if measure is None:
-        if rcut is None:
-            def measure(c: int) -> float:
-                return run_allpairs_virtual(machine, n, c, dim=dim).elapsed
-        else:
+        spec = dict(machine=machine, algorithm="allpairs_virtual", n=n,
+                    dim=dim)
+        if rcut is not None:
             require(box_length is not None, "cutoff tuning needs box_length")
+            spec.update(algorithm="cutoff_virtual", rcut=rcut,
+                        box_length=box_length)
 
-            def measure(c: int) -> float:
-                return run_cutoff_virtual(
-                    machine, n, c, rcut=rcut, box_length=box_length, dim=dim
-                ).elapsed
+        def measure(c: int) -> float:
+            return run(RunSpec(c=c, **spec)).elapsed
 
     timed = sorted(((c, float(measure(c))) for c in candidates), key=lambda x: x[1])
     return TuningResult(ranked=timed)

@@ -39,7 +39,6 @@ update, which preserves the *exactly-once* interaction guarantee for any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from repro.util import require
@@ -77,17 +76,6 @@ class ShiftSchedule:
     zero_index: int
     skip: tuple[bool, ...]
 
-    def __hash__(self) -> int:
-        # The memoized schedule queries hash ``self`` on every lookup; the
-        # dataclass-generated hash walks every offset tuple each time, so
-        # cache it (all fields are frozen — the hash cannot go stale).
-        h = self.__dict__.get("_hash_cache")
-        if h is None:
-            h = hash((self.team_dims, self.c, self.offsets,
-                      self.zero_index, self.skip))
-            object.__setattr__(self, "_hash_cache", h)
-        return h
-
     # -- derived sizes ------------------------------------------------------
 
     @property
@@ -113,7 +101,6 @@ class ShiftSchedule:
     def wrap_offset(self, off: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(o % d for o, d in zip(off, self.team_dims))
 
-    @lru_cache(maxsize=None)
     def team_multi(self, team: int) -> tuple[int, ...]:
         """Multi-index of a linear team id on the team grid (row-major)."""
         out = []
@@ -129,10 +116,6 @@ class ShiftSchedule:
             t = t * d + x % d
         return t
 
-    # Memoized: the shift loop asks for the same few thousand
-    # (team, offset) displacements every step of every row.  The schedule
-    # is a frozen (hashable) dataclass, so caching on it is sound.
-    @lru_cache(maxsize=None)
     def displace(self, team: int, off: tuple[int, ...]) -> int:
         """Team at ``team``'s multi-index plus ``off`` (wrapped)."""
         mi = self.team_multi(team)
@@ -147,13 +130,11 @@ class ShiftSchedule:
         """
         return (self.zero_index + row + self.c * (i + 1)) % self.window
 
-    @lru_cache(maxsize=None)
     def holder_of(self, team: int, u: int) -> int:
         """Column that holds team ``team``'s buffer at window position ``u``."""
         neg = tuple(-o for o in self.offsets[u])
         return self.displace(team, neg)
 
-    @lru_cache(maxsize=None)
     def visitor_of(self, col: int, u: int) -> int:
         """Team whose buffer column ``col`` holds at window position ``u``."""
         return self.displace(col, self.offsets[u])
@@ -168,7 +149,6 @@ class ShiftSchedule:
         u1 = (self.zero_index + row) % self.window
         return tuple(a - b for a, b in zip(self.offsets[u0], self.offsets[u1]))
 
-    @lru_cache(maxsize=None)
     def step_move(self, row: int, i: int) -> tuple[int, ...]:
         """Column displacement of a row-``row`` buffer at shift step ``i``."""
         u0 = self.position(row, i - 1)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.allpairs import run_allpairs_virtual
-from repro.core.cutoff import cutoff_config, run_cutoff_virtual
+from repro.core.cutoff import cutoff_config
 from repro.core.driver import run_simulation_virtual
+from repro.core.runner import RunSpec, run
 from repro.experiments.configs import FigureConfig
 from repro.machines import Hopper, Intrepid
 from repro.model import (
@@ -151,9 +151,10 @@ def validate_figure(
         if p % c:
             continue
         if not cfg.cutoff:
-            run = run_allpairs_virtual(machine, n, c, dim=cfg.dim)
+            out = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                              n=n, c=c, dim=cfg.dim))
             res.breakdowns[f"c={c}"] = PhaseBreakdown.from_report(
-                run.report, ("bcast", "shift", "compute", "reduce")
+                out.report, ("bcast", "shift", "compute", "reduce")
             )
         else:
             ca_cfg = cutoff_config(
@@ -164,8 +165,8 @@ def validate_figure(
                 phys_window *= 2 * mk + 1
             if c > phys_window:
                 continue
-            run = run_simulation_virtual(machine, ca_cfg, n, 1, dim=cfg.dim)
+            out = run_simulation_virtual(machine, ca_cfg, n, 1, dim=cfg.dim)
             res.breakdowns[f"c={c}"] = PhaseBreakdown.from_report(
-                run.report, ("bcast", "shift", "compute", "reduce", "reassign")
+                out.report, ("bcast", "shift", "compute", "reduce", "reassign")
             )
     return res

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import allpairs_config, run_allpairs, run_allpairs_virtual
+from repro.core import RunSpec, allpairs_config, run
 from repro.machines import GenericMachine, GenericTorus, InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
 from repro.theory import ca_allpairs_cost
@@ -26,29 +26,37 @@ class TestCorrectness:
     @pytest.mark.parametrize("p,c", all_pc_configs())
     def test_forces_match_reference(self, p, c, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = run_allpairs(GenericMachine(nranks=p), particles_2d, c, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs", particles=particles_2d, c=c,
+                          law=law))
         assert np.array_equal(out.ids, np.sort(particles_2d.ids))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", [(8, 2), (12, 3)])
     def test_1d_particles(self, p, c, law, particles_1d):
         ref = reference_forces(law, particles_1d)
-        out = run_allpairs(GenericMachine(nranks=p), particles_1d, c, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs", particles=particles_1d, c=c,
+                          law=law))
         assert_forces_close(out.forces, ref)
 
     def test_single_rank(self, law, particles_2d):
-        out = run_allpairs(GenericMachine(nranks=1), particles_2d, 1, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=1),
+                          algorithm="allpairs", particles=particles_2d, c=1,
+                          law=law))
         assert_forces_close(out.forces, reference_forces(law, particles_2d))
 
     def test_n_smaller_than_teams(self, law):
         ps = ParticleSet.uniform_random(5, 2, 1.0, seed=0)
-        out = run_allpairs(GenericMachine(nranks=8), ps, 1, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=8),
+                          algorithm="allpairs", particles=ps, c=1, law=law))
         assert_forces_close(out.forces, reference_forces(law, ps))
 
     def test_results_independent_of_c(self, law, particles_2d):
         """Different replication factors agree to reduction-order noise."""
         outs = [
-            run_allpairs(GenericMachine(nranks=8), particles_2d, c, law=law).forces
+            run(RunSpec(machine=GenericMachine(nranks=8), algorithm="allpairs",
+                        particles=particles_2d, c=c, law=law)).forces
             for c in (1, 2, 4, 8)
         ]
         for f in outs[1:]:
@@ -61,8 +69,8 @@ class TestExactlyOnceCoverage:
         n = 48
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=77)
         pc_matrix = np.zeros((n, n), dtype=np.int64)
-        run_allpairs(InstantMachine(nranks=p), ps, c, law=law,
-                     pair_counter=pc_matrix)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="allpairs",
+                    particles=ps, c=c, law=law, pair_counter=pc_matrix))
         assert (pc_matrix == reference_pair_matrix(law, ps)).all()
 
     @settings(max_examples=15, deadline=None)
@@ -76,8 +84,8 @@ class TestExactlyOnceCoverage:
         law = ForceLaw()
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=seed)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_allpairs(InstantMachine(nranks=p), ps, c, law=law,
-                     pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="allpairs",
+                    particles=ps, c=c, law=law, pair_counter=counter))
         assert (counter == reference_pair_matrix(law, ps)).all()
 
 
@@ -88,8 +96,9 @@ class TestCommunicationCosts:
         p, n = 64, 4096
         msgs = {}
         for c in (1, 2, 4, 8):
-            run = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-            msgs[c] = run.report.max_messages("shift")
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="allpairs_virtual", n=n, c=c))
+            msgs[c] = res.report.max_messages("shift")
         # Shift messages ~ p/c^2 (one per step, plus the skew).
         for c in (1, 2, 4, 8):
             expect = ca_allpairs_cost(n, p, c).messages
@@ -99,8 +108,9 @@ class TestCommunicationCosts:
     def test_words_scale_as_n_over_c(self):
         p, n = 64, 4096
         for c in (1, 2, 4, 8):
-            run = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-            got = run.report.max_bytes("shift")
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="allpairs_virtual", n=n, c=c))
+            got = res.report.max_bytes("shift")
             expect_words = ca_allpairs_cost(n, p, c).words  # particles
             # 52 bytes per particle; the skew adds one extra block.
             assert got <= 52 * (expect_words + n * c / p) * 1.05
@@ -110,26 +120,31 @@ class TestCommunicationCosts:
         """Sum of per-rank scanned pairs is exactly n^2 regardless of c."""
         p, n = 16, 1024
         for c in (1, 2, 4):
-            run = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-            total = sum(r.npairs for r in run.results)
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="allpairs_virtual", n=n, c=c))
+            total = sum(r.npairs for r in res.run.results)
             assert total == n * n
 
     def test_compute_time_balanced(self):
         p, n = 16, 1024
-        run = run_allpairs_virtual(GenericMachine(nranks=p), n, 4)
-        per_rank = [r.npairs for r in run.results]
+        res = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs_virtual", n=n, c=4))
+        per_rank = [r.npairs for r in res.run.results]
         assert max(per_rank) <= 2 * min(per_rank)
 
     def test_communication_decreases_with_c(self, torus64):
         comm = []
         for c in (1, 2, 4, 8):
-            rep = run_allpairs_virtual(torus64, 4096, c).report
+            rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
+                              n=4096, c=c)).report
             comm.append(rep.max_time("shift"))
         assert comm[0] > comm[1] > comm[2] > comm[3]
 
     def test_shift_drops_superlinearly(self, torus64):
-        r1 = run_allpairs_virtual(torus64, 8192, 1).report.max_time("shift")
-        r4 = run_allpairs_virtual(torus64, 8192, 4).report.max_time("shift")
+        r1 = run(RunSpec(machine=torus64, algorithm="allpairs_virtual", n=8192,
+                         c=1)).report.max_time("shift")
+        r4 = run(RunSpec(machine=torus64, algorithm="allpairs_virtual", n=8192,
+                         c=4)).report.max_time("shift")
         # Equation 5 predicts ~c^2 = 16x; allow generous slack for latency.
         assert r1 / r4 > 4
 
@@ -163,13 +178,15 @@ class TestConfig:
 
 class TestPhases:
     def test_expected_phases_present(self, torus64):
-        rep = run_allpairs_virtual(torus64, 2048, 4).report
+        rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
+                          n=2048, c=4)).report
         labels = rep.phase_labels()
         for lab in ("bcast", "shift", "compute", "reduce"):
             assert lab in labels
 
     def test_c1_has_no_collectives(self, torus64):
-        rep = run_allpairs_virtual(torus64, 2048, 1).report
+        rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
+                          n=2048, c=1)).report
         assert rep.max_time("bcast") == 0.0
         assert rep.max_time("reduce") == 0.0
 
@@ -178,8 +195,10 @@ class TestPhases:
         p, c, n = 8, 2, 64
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=5)
         m = GenericTorus(nranks=p, cores_per_node=2)
-        real = run_allpairs(m, ps, c, law=law).run.report
-        virt = run_allpairs_virtual(m, n, c).report
+        real = run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=c,
+                           law=law)).report
+        virt = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n,
+                           c=c)).report
         for lab in ("bcast", "shift", "reduce"):
             assert real.max_messages(lab) == virt.max_messages(lab)
             assert real.max_bytes(lab) == virt.max_bytes(lab)

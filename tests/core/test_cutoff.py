@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import cutoff_config, run_cutoff, run_cutoff_virtual
+from repro.core import RunSpec, cutoff_config, run
 from repro.machines import GenericMachine, InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
 from repro.theory import ca_cutoff_cost
@@ -23,17 +23,18 @@ class TestCorrectness1D:
     @pytest.mark.parametrize("rcut", RCUTS)
     def test_forces_match_reference(self, p, c, rcut, law, particles_1d):
         ref = reference_forces(law.with_rcut(rcut), particles_1d)
-        out = run_cutoff(GenericMachine(nranks=p), particles_1d, c,
-                         rcut=rcut, box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="cutoff",
+                          particles=particles_1d, c=c, rcut=rcut,
+                          box_length=1.0, law=law))
         assert_forces_close(out.forces, ref)
 
     def test_2d_particles_1d_team_slabs(self, law, particles_2d):
         """1-D team decomposition of a 2-D simulation (slab regions)."""
         rcut = 0.3
         ref = reference_forces(law.with_rcut(rcut), particles_2d)
-        out = run_cutoff(GenericMachine(nranks=8), particles_2d, 2,
-                         rcut=rcut, box_length=1.0, law=law,
-                         team_dims=(4,), dim=1)
+        out = run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                          particles=particles_2d, c=2, rcut=rcut,
+                          box_length=1.0, law=law, team_dims=(4,), dim=1))
         assert_forces_close(out.forces, ref)
 
 
@@ -42,14 +43,16 @@ class TestCorrectness2D:
     @pytest.mark.parametrize("rcut", [0.25, 0.45])
     def test_forces_match_reference(self, p, c, rcut, law, particles_2d):
         ref = reference_forces(law.with_rcut(rcut), particles_2d)
-        out = run_cutoff(GenericMachine(nranks=p), particles_2d, c,
-                         rcut=rcut, box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="cutoff",
+                          particles=particles_2d, c=c, rcut=rcut,
+                          box_length=1.0, law=law))
         assert_forces_close(out.forces, ref)
 
     def test_cutoff_larger_than_box_covers_everything(self, law, particles_2d):
         ref = reference_forces(law.with_rcut(1.0), particles_2d)
-        out = run_cutoff(GenericMachine(nranks=8), particles_2d, 2,
-                         rcut=1.0, box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                          particles=particles_2d, c=2, rcut=1.0,
+                          box_length=1.0, law=law))
         assert_forces_close(out.forces, ref)
 
 
@@ -60,8 +63,9 @@ class TestExactlyOnceCoverage:
         ps = ParticleSet.uniform_random(n, 1, 1.0, seed=42)
         rcut = 0.25
         counter = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-                   law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                    particles=ps, c=c, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
     @pytest.mark.parametrize("p,c", CONFIGS_2D)
@@ -70,8 +74,9 @@ class TestExactlyOnceCoverage:
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=43)
         rcut = 0.3
         counter = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-                   law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                    particles=ps, c=c, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
     @settings(max_examples=12, deadline=None)
@@ -87,8 +92,9 @@ class TestExactlyOnceCoverage:
         law = ForceLaw()
         ps = ParticleSet.uniform_random(n, dim, 1.0, seed=seed)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-                   law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                    particles=ps, c=c, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
 
@@ -126,8 +132,9 @@ class TestConfig:
 
     def test_dim_exceeding_particles_rejected(self, law, particles_1d):
         with pytest.raises(ValueError):
-            run_cutoff(GenericMachine(nranks=8), particles_1d, 1,
-                       rcut=0.25, box_length=1.0, dim=2, law=law)
+            run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                        particles=particles_1d, c=1, rcut=0.25, box_length=1.0,
+                        dim=2, law=law))
 
 
 class TestCommunicationCosts:
@@ -135,9 +142,10 @@ class TestCommunicationCosts:
         """Shift messages follow S_1D = O(m/c) (Section IV-B)."""
         p, n = 64, 4096
         for c in (1, 2, 4):
-            run = run_cutoff_virtual(GenericMachine(nranks=p), n, c,
-                                     rcut=0.25, box_length=1.0, dim=1)
-            got = run.report.max_messages("shift")
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="cutoff_virtual", n=n, c=c, rcut=0.25,
+                              box_length=1.0, dim=1))
+            got = res.report.max_messages("shift")
             T = p // c
             m = -(-T // 4)  # rcut spans T/4 cells
             expect = ca_cutoff_cost(n, p, c, m).messages
@@ -145,29 +153,31 @@ class TestCommunicationCosts:
             assert got >= expect
 
     def test_fewer_messages_than_allpairs(self):
-        from repro.core import run_allpairs_virtual
-
         p, n = 64, 4096
-        ap = run_allpairs_virtual(GenericMachine(nranks=p), n, 1)
-        co = run_cutoff_virtual(GenericMachine(nranks=p), n, 1,
-                                rcut=0.1, box_length=1.0, dim=1)
+        ap = run(RunSpec(machine=GenericMachine(nranks=p),
+                         algorithm="allpairs_virtual", n=n, c=1))
+        co = run(RunSpec(machine=GenericMachine(nranks=p),
+                         algorithm="cutoff_virtual", n=n, c=1, rcut=0.1,
+                         box_length=1.0, dim=1))
         assert (co.report.max_messages("shift")
                 < ap.report.max_messages("shift"))
 
     def test_boundary_teams_compute_less(self):
         p, n = 32, 2048
-        run = run_cutoff_virtual(GenericMachine(nranks=p), n, 1,
-                                 rcut=0.25, box_length=1.0, dim=1)
-        pairs = {r.col: r.npairs for r in run.results}
+        res = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
+                          box_length=1.0, dim=1))
+        pairs = {r.col: r.npairs for r in res.run.results}
         interior = pairs[p // 2]
         corner = pairs[0]
         assert corner < interior
 
     def test_scanned_pairs_bounded_by_window(self):
         p, n = 16, 1024
-        run = run_cutoff_virtual(GenericMachine(nranks=p), n, 1,
-                                 rcut=0.25, box_length=1.0, dim=1)
-        total = sum(r.npairs for r in run.results)
+        res = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
+                          box_length=1.0, dim=1))
+        total = sum(r.npairs for r in res.run.results)
         # Far fewer scans than all-pairs, at least the within-cutoff count.
         assert total < n * n
         assert total >= n * n * 0.3  # window fraction ~ 9/16

@@ -5,7 +5,7 @@ paper's 1-D/2-D experiments (its related work — Snir, Shaw, Anton — is all
 import numpy as np
 import pytest
 
-from repro.core import cutoff_config, run_cutoff, run_cutoff_virtual
+from repro.core import RunSpec, cutoff_config, run
 from repro.machines import GenericMachine, InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
 
@@ -18,8 +18,9 @@ class TestCutoff3D:
     def test_forces_match_reference(self, p, c, rcut, law):
         ps = ParticleSet.uniform_random(80, 3, 1.0, seed=101)
         ref = reference_forces(law.with_rcut(rcut), ps)
-        out = run_cutoff(GenericMachine(nranks=p), ps, c, rcut=rcut,
-                         box_length=1.0, dim=3, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="cutoff",
+                          particles=ps, c=c, rcut=rcut, box_length=1.0, dim=3,
+                          law=law))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", [(8, 2), (16, 2), (27, 3)])
@@ -28,8 +29,9 @@ class TestCutoff3D:
         ps = ParticleSet.uniform_random(n, 3, 1.0, seed=102)
         rcut = 0.4
         counter = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-                   dim=3, law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                    particles=ps, c=c, rcut=rcut, box_length=1.0, dim=3,
+                    law=law, pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
     def test_3d_window_is_cube(self):
@@ -44,8 +46,9 @@ class TestCutoff3D:
         ps = ParticleSet.uniform_random(60, 3, 1.0, seed=103)
         rcut = 0.3
         ref = reference_forces(law.with_rcut(rcut).with_box(1.0), ps)
-        out = run_cutoff(GenericMachine(nranks=8), ps, 2, rcut=rcut,
-                         box_length=1.0, dim=3, law=law, periodic=True)
+        out = run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                          particles=ps, c=2, rcut=rcut, box_length=1.0, dim=3,
+                          law=law, periodic=True))
         assert_forces_close(out.forces, ref)
 
     def test_neighbor_count_grows_with_dimension(self):
@@ -55,9 +58,10 @@ class TestCutoff3D:
         n = 4096
         msgs = {}
         for dim, p in ((1, 64), (2, 64), (3, 64)):
-            run = run_cutoff_virtual(GenericMachine(nranks=p), n, 1,
-                                     rcut=0.4, box_length=1.0, dim=dim)
-            msgs[dim] = run.report.max_messages("shift")
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="cutoff_virtual", n=n, c=1, rcut=0.4,
+                              box_length=1.0, dim=dim))
+            msgs[dim] = res.report.max_messages("shift")
         assert msgs[1] < msgs[2] <= msgs[3] + 1
 
     def test_pencil_decomposition_of_3d_particles(self, law):
@@ -65,6 +69,7 @@ class TestCutoff3D:
         ps = ParticleSet.uniform_random(60, 3, 1.0, seed=104)
         rcut = 0.35
         ref = reference_forces(law.with_rcut(rcut), ps)
-        out = run_cutoff(GenericMachine(nranks=8), ps, 2, rcut=rcut,
-                         box_length=1.0, dim=2, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                          particles=ps, c=2, rcut=rcut, box_length=1.0, dim=2,
+                          law=law))
         assert_forces_close(out.forces, ref)

@@ -16,7 +16,7 @@ index alone.
 import numpy as np
 import pytest
 
-from repro.core import allpairs_config, run_allpairs, run_cutoff
+from repro.core import RunSpec, allpairs_config, run
 from repro.machines import InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_pair_matrix
 from repro.util.rng import spawn_rngs
@@ -61,8 +61,8 @@ def test_allpairs_random_config_covers_every_pair_once(index):
     ps = _draw_particles(rng, p, c, dim=2)
     law = ForceLaw()
     counter = np.zeros((len(ps), len(ps)), dtype=np.int64)
-    run_allpairs(InstantMachine(nranks=p), ps, c, law=law,
-                 pair_counter=counter)
+    run(RunSpec(machine=InstantMachine(nranks=p), algorithm="allpairs",
+                particles=ps, c=c, law=law, pair_counter=counter))
     expected = reference_pair_matrix(law, ps)
     assert (counter == expected).all(), (
         f"case {index}: n={len(ps)} p={p} c={c} missed or duplicated pairs"
@@ -79,8 +79,9 @@ def test_cutoff_random_config_covers_every_pair_once(index):
     ps = _draw_particles(rng, p, c, dim=2)
     law = ForceLaw()
     counter = np.zeros((len(ps), len(ps)), dtype=np.int64)
-    run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-               dim=dim, law=law, pair_counter=counter)
+    run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                particles=ps, c=c, rcut=rcut, box_length=1.0, dim=dim, law=law,
+                pair_counter=counter))
     expected = reference_pair_matrix(law.with_rcut(rcut), ps)
     assert (counter == expected).all(), (
         f"case {index}: n={len(ps)} p={p} c={c} rcut={rcut:.3f} dim={dim} "

@@ -12,7 +12,7 @@ leaked into simulated semantics and is a bug, not noise.
 import numpy as np
 import pytest
 
-from repro.core import run_allpairs, run_cutoff
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus
 from repro.physics import ForceLaw, ParticleSet
 
@@ -29,12 +29,14 @@ def _run(config: str, *, fast_path: bool, scratch: bool):
     machine = GenericTorus(nranks=16, cores_per_node=4)
     particles = ParticleSet.uniform_random(128, 2, 1.0, seed=3)
     if config == "allpairs":
-        return run_allpairs(machine, particles, 4, law=ForceLaw(),
-                            scratch=scratch,
-                            engine_opts={"fast_path": fast_path})
-    return run_cutoff(machine, particles, 2, rcut=0.3, box_length=1.0,
-                      periodic=True, scratch=scratch,
-                      engine_opts={"fast_path": fast_path})
+        return run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=particles, c=4, law=ForceLaw(),
+                           scratch=scratch,
+                           engine_opts={"fast_path": fast_path}))
+    return run(RunSpec(machine=machine, algorithm="cutoff",
+                       particles=particles, c=2, rcut=0.3, box_length=1.0,
+                       periodic=True, scratch=scratch,
+                       engine_opts={"fast_path": fast_path}))
 
 
 @pytest.mark.parametrize("config", ["allpairs", "cutoff"])

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    RunSpec,
     SimulationConfig,
     allpairs_config,
-    run_allpairs,
-    run_cutoff,
+    run,
     run_simulation,
     team_blocks_even,
 )
@@ -51,9 +51,11 @@ class TestAllPairsRecovery:
     def test_single_death_is_bitwise_invisible(self, role, victim, law,
                                                particles_2d):
         machine = GenericMachine(nranks=_P)
-        clean = run_allpairs(machine, particles_2d, _C, law=law)
-        faulty = run_allpairs(machine, particles_2d, _C, law=law,
-                              faults=_kill(victim))
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=particles_2d, c=_C, law=law))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=particles_2d, c=_C, law=law,
+                             faults=_kill(victim)))
         assert list(faulty.run.deaths) == [victim], \
             f"{role} kill schedule did not fire"
         assert np.array_equal(faulty.ids, clean.ids)
@@ -64,16 +66,19 @@ class TestAllPairsRecovery:
     def test_every_rank_recoverable_in_window(self, law, particles_2d,
                                               victim):
         machine = GenericMachine(nranks=_P)
-        clean = run_allpairs(machine, particles_2d, _C, law=law)
-        faulty = run_allpairs(machine, particles_2d, _C, law=law,
-                              faults=_kill(victim))
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=particles_2d, c=_C, law=law))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=particles_2d, c=_C, law=law,
+                             faults=_kill(victim)))
         assert list(faulty.run.deaths) == [victim]
         assert np.array_equal(faulty.forces, clean.forces)
 
     def test_recovered_forces_match_reference(self, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = run_allpairs(GenericMachine(nranks=_P), particles_2d, _C,
-                           law=law, faults=_kill(5))
+        out = run(RunSpec(machine=GenericMachine(nranks=_P),
+                          algorithm="allpairs", particles=particles_2d, c=_C,
+                          law=law, faults=_kill(5)))
         assert_forces_close(out.forces, ref)
 
     def test_exactly_once_survives_a_death(self, law, particles_2d):
@@ -81,8 +86,9 @@ class TestAllPairsRecovery:
 
         n = len(particles_2d)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_allpairs(GenericMachine(nranks=_P), particles_2d, _C, law=law,
-                     pair_counter=counter, faults=_kill(5))
+        run(RunSpec(machine=GenericMachine(nranks=_P), algorithm="allpairs",
+                    particles=particles_2d, c=_C, law=law,
+                    pair_counter=counter, faults=_kill(5)))
         # Recovery recomputes lost updates, so surviving ranks' pair counts
         # stay exactly-once; the victim's own pre-death scans plus the
         # replay may double-count, but never *miss*, a pair.
@@ -90,17 +96,19 @@ class TestAllPairsRecovery:
 
     def test_kill_with_c1_rejected(self, law, particles_2d):
         with pytest.raises(ValueError):
-            run_allpairs(GenericMachine(nranks=4), particles_2d, 1, law=law,
-                         faults=_kill(1))
+            run(RunSpec(machine=GenericMachine(nranks=4), algorithm="allpairs",
+                        particles=particles_2d, c=1, law=law, faults=_kill(1)))
 
 
 class TestCutoffRecovery:
     def test_single_death_is_bitwise_invisible(self, law, particles_2d):
         machine = GenericMachine(nranks=_P)
         kw = dict(rcut=0.4, box_length=1.0, dim=1, law=law)
-        clean = run_cutoff(machine, particles_2d, _C, **kw)
-        faulty = run_cutoff(machine, particles_2d, _C, **kw,
-                            faults=_kill(5))
+        clean = run(RunSpec(machine=machine, algorithm="cutoff",
+                            particles=particles_2d, c=_C, **kw))
+        faulty = run(RunSpec(machine=machine, algorithm="cutoff",
+                             particles=particles_2d, c=_C, **kw,
+                             faults=_kill(5)))
         assert list(faulty.run.deaths) == [5]
         assert np.array_equal(faulty.forces, clean.forces)
         assert_forces_close(faulty.forces,
@@ -170,9 +178,11 @@ class TestInterleavedHoleRebuild:
     def test_early_death_at_p16_is_bitwise_invisible(self, law):
         ps = ParticleSet.uniform_random(53, 1, 1.0, max_speed=0.05, seed=7)
         machine = GenericMachine(nranks=16)
-        clean = run_allpairs(machine, ps, 2, law=law)
-        faulty = run_allpairs(machine, ps, 2, law=law,
-                              faults=_kill(10, after_ops=2))
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=ps, c=2, law=law))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=ps, c=2, law=law,
+                             faults=_kill(10, after_ops=2)))
         assert list(faulty.run.deaths) == [10]
         assert np.array_equal(faulty.forces, clean.forces), \
             "interleaved-hole replay permuted a float summation"
@@ -181,9 +191,11 @@ class TestInterleavedHoleRebuild:
     def test_other_early_victims(self, law, victim, after_ops):
         ps = ParticleSet.uniform_random(53, 1, 1.0, max_speed=0.05, seed=7)
         machine = GenericMachine(nranks=16)
-        clean = run_allpairs(machine, ps, 2, law=law)
-        faulty = run_allpairs(machine, ps, 2, law=law,
-                              faults=_kill(victim, after_ops=after_ops))
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=ps, c=2, law=law))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=ps, c=2, law=law,
+                             faults=_kill(victim, after_ops=after_ops)))
         assert list(faulty.run.deaths) == [victim]
         assert np.array_equal(faulty.forces, clean.forces)
 
@@ -198,10 +210,12 @@ class TestInterleavedHoleRebuild:
         order, never by appending."""
         ps = ParticleSet.uniform_random(53, 1, 1.0, max_speed=0.05, seed=7)
         machine = GenericMachine(nranks=16)
-        clean = run_allpairs(machine, ps, 2, law=law)
-        faulty = run_allpairs(machine, ps, 2, law=law,
-                              faults=_kill(10, after_ops=2),
-                              engine_opts={"schedule": schedule})
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=ps, c=2, law=law))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=ps, c=2, law=law,
+                             faults=_kill(10, after_ops=2),
+                             engine_opts={"schedule": schedule}))
         assert list(faulty.run.deaths) == [10]
         assert np.array_equal(faulty.forces, clean.forces), \
             (f"interleaved-hole replay permuted a float summation under "

@@ -9,7 +9,7 @@ inverse of the trade-off the default mapping makes.
 import numpy as np
 import pytest
 
-from repro.core import run_allpairs, run_allpairs_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericMachine, GenericTorus
 from repro.model import allpairs_breakdown
 from repro.physics import ParticleSet, reference_forces
@@ -46,15 +46,18 @@ class TestLayoutPhysics:
     @pytest.mark.parametrize("p,c", [(8, 2), (12, 3), (16, 4)])
     def test_forces_identical(self, layout, p, c, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = run_allpairs(GenericMachine(nranks=p), particles_2d, c, law=law,
-                           layout=layout)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs", particles=particles_2d, c=c,
+                          law=law, layout=layout))
         assert_forces_close(out.forces, ref)
 
     def test_layouts_agree_with_each_other(self, law):
         ps = ParticleSet.uniform_random(64, 2, 1.0, seed=71)
         m = GenericMachine(nranks=8)
-        rows = run_allpairs(m, ps, 2, law=law, layout="rows")
-        teams = run_allpairs(m, ps, 2, law=law, layout="teams")
+        rows = run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=2,
+                           law=law, layout="rows"))
+        teams = run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=2,
+                            law=law, layout="teams"))
         assert np.allclose(rows.forces, teams.forces)
 
 
@@ -64,8 +67,10 @@ class TestLayoutTradeoff:
         trees run over shared memory while the shifts stretch."""
         m = GenericTorus(nranks=64, cores_per_node=4)
         c = 4
-        rows = run_allpairs_virtual(m, 8192, c, layout="rows").report
-        teams = run_allpairs_virtual(m, 8192, c, layout="teams").report
+        rows = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+                           c=c, layout="rows")).report
+        teams = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+                            c=c, layout="teams")).report
         coll_rows = rows.max_time("bcast") + rows.max_time("reduce")
         coll_teams = teams.max_time("bcast") + teams.max_time("reduce")
         assert coll_teams < coll_rows
@@ -82,6 +87,7 @@ class TestLayoutTradeoff:
     def test_analytic_matches_sim_for_teams_layout(self):
         m = GenericTorus(nranks=64, cores_per_node=4, alpha=2e-6, beta=5e-10,
                          pair_time=5e-8)
-        sim = run_allpairs_virtual(m, 8192, 4, layout="teams")
+        sim = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192, c=4,
+                          layout="teams"))
         model = allpairs_breakdown(m, 8192, 4, layout="teams")
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)

@@ -8,7 +8,7 @@ exchange buffer, each of cn/p particles.
 
 import pytest
 
-from repro.core import run_allpairs_virtual, run_cutoff_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericMachine
 from repro.machines.base import PARTICLE_BYTES
 from repro.theory import memory_per_rank
@@ -18,8 +18,9 @@ class TestAllPairsMemory:
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_matches_equation4(self, c):
         p, n = 32, 4096
-        run = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-        measured = max(r.memory_bytes for r in run.results)
+        res = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs_virtual", n=n, c=c))
+        measured = max(r.memory_bytes for r in res.run.results)
         # Home block + exchange buffer, each cn/p particles of 52 bytes.
         expected = 2 * memory_per_rank(n, p, c) * PARTICLE_BYTES
         assert measured == pytest.approx(expected, rel=0.01)
@@ -28,8 +29,9 @@ class TestAllPairsMemory:
         p, n = 32, 4096
         mem = {}
         for c in (1, 2, 4, 8):
-            run = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-            mem[c] = max(r.memory_bytes for r in run.results)
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="allpairs_virtual", n=n, c=c))
+            mem[c] = max(r.memory_bytes for r in res.run.results)
         assert mem[2] == 2 * mem[1]
         assert mem[8] == 8 * mem[1]
 
@@ -38,10 +40,12 @@ class TestAllPairsMemory:
         shifted bandwidth."""
         p, n = 32, 4096
         for c in (2, 4):
-            run1 = run_allpairs_virtual(GenericMachine(nranks=p), n, 1)
-            runc = run_allpairs_virtual(GenericMachine(nranks=p), n, c)
-            m1 = max(r.memory_bytes for r in run1.results)
-            mc = max(r.memory_bytes for r in runc.results)
+            run1 = run(RunSpec(machine=GenericMachine(nranks=p),
+                               algorithm="allpairs_virtual", n=n, c=1))
+            runc = run(RunSpec(machine=GenericMachine(nranks=p),
+                               algorithm="allpairs_virtual", n=n, c=c))
+            m1 = max(r.memory_bytes for r in run1.run.results)
+            mc = max(r.memory_bytes for r in runc.run.results)
             w1 = run1.report.max_bytes("shift")
             wc = runc.report.max_bytes("shift")
             assert mc == pytest.approx(c * m1, rel=0.01)
@@ -58,13 +62,15 @@ class TestCutoffMemory:
         """The cutoff algorithm needs the same M = cn/p (Equation 8)."""
         p, n = 32, 4096
         for c in (1, 2):
-            run = run_cutoff_virtual(GenericMachine(nranks=p), n, c,
-                                     rcut=0.25, box_length=1.0, dim=1)
-            measured = max(r.memory_bytes for r in run.results)
+            res = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="cutoff_virtual", n=n, c=c, rcut=0.25,
+                              box_length=1.0, dim=1))
+            measured = max(r.memory_bytes for r in res.run.results)
             expected = 2 * memory_per_rank(n, p, c) * PARTICLE_BYTES
             assert measured == pytest.approx(expected, rel=0.05)
 
     def test_memory_reported_per_rank(self):
-        run = run_cutoff_virtual(GenericMachine(nranks=16), 1024, 2,
-                                 rcut=0.25, box_length=1.0, dim=1)
-        assert all(r.memory_bytes > 0 for r in run.results)
+        res = run(RunSpec(machine=GenericMachine(nranks=16),
+                          algorithm="cutoff_virtual", n=1024, c=2, rcut=0.25,
+                          box_length=1.0, dim=1))
+        assert all(r.memory_bytes > 0 for r in res.run.results)

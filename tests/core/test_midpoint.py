@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import run_midpoint, run_spatial
+from repro.core import RunSpec, run
 from repro.machines import GenericMachine, InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
 
@@ -18,8 +18,9 @@ class TestCorrectness:
     def test_forces_match_reference(self, p, dim, rcut, law):
         ps = ParticleSet.uniform_random(70, dim, 1.0, seed=91)
         ref = reference_forces(law.with_rcut(rcut), ps)
-        out = run_midpoint(GenericMachine(nranks=p), ps, rcut=rcut,
-                           box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="midpoint", particles=ps, rcut=rcut,
+                          box_length=1.0, law=law))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p", [4, 9, 16])
@@ -28,14 +29,16 @@ class TestCorrectness:
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=92)
         rcut = 0.25
         counter = np.zeros((n, n), dtype=np.int64)
-        run_midpoint(InstantMachine(nranks=p), ps, rcut=rcut, box_length=1.0,
-                     law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="midpoint",
+                    particles=ps, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
     def test_single_rank_degenerates_to_serial(self, law):
         ps = ParticleSet.uniform_random(40, 2, 1.0, seed=93)
-        out = run_midpoint(GenericMachine(nranks=1), ps, rcut=0.3,
-                           box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=1),
+                          algorithm="midpoint", particles=ps, rcut=0.3,
+                          box_length=1.0, law=law))
         assert_forces_close(out.forces,
                             reference_forces(law.with_rcut(0.3), ps))
 
@@ -47,8 +50,9 @@ class TestCorrectness:
         n = 40
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=seed)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_midpoint(InstantMachine(nranks=p), ps, rcut=rcut, box_length=1.0,
-                     law=law, pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="midpoint",
+                    particles=ps, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter))
         assert (counter == reference_pair_matrix(law.with_rcut(rcut), ps)).all()
 
 
@@ -58,8 +62,10 @@ class TestImportRegion:
         processors' — the midpoint halo reaches r_c/2 instead of r_c."""
         ps = ParticleSet.uniform_random(200, 2, 1.0, seed=94)
         m = GenericMachine(nranks=16)
-        spatial = run_spatial(m, ps, rcut=0.3, box_length=1.0, law=law)
-        midpoint = run_midpoint(m, ps, rcut=0.3, box_length=1.0, law=law)
+        spatial = run(RunSpec(machine=m, algorithm="spatial", particles=ps,
+                              rcut=0.3, box_length=1.0, law=law))
+        midpoint = run(RunSpec(machine=m, algorithm="midpoint", particles=ps,
+                               rcut=0.3, box_length=1.0, law=law))
         assert (midpoint.report.max_bytes("halo")
                 < spatial.report.max_bytes("halo"))
         assert (midpoint.report.max_messages("halo")
@@ -67,8 +73,9 @@ class TestImportRegion:
 
     def test_has_return_phase(self, law):
         ps = ParticleSet.uniform_random(80, 2, 1.0, seed=95)
-        out = run_midpoint(GenericMachine(nranks=16), ps, rcut=0.3,
-                           box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=16),
+                          algorithm="midpoint", particles=ps, rcut=0.3,
+                          box_length=1.0, law=law))
         assert "return" in out.report.phase_labels()
 
     def test_computes_on_neutral_territory(self, law):
@@ -83,8 +90,9 @@ class TestImportRegion:
         ps = ParticleSet(pos, np.zeros((2, 1)), np.arange(2))
         n = 2
         counter = np.zeros((n, n), dtype=np.int64)
-        out = run_midpoint(InstantMachine(nranks=4), ps, rcut=0.6,
-                           box_length=1.0, law=law, pair_counter=counter)
+        out = run(RunSpec(machine=InstantMachine(nranks=4),
+                          algorithm="midpoint", particles=ps, rcut=0.6,
+                          box_length=1.0, law=law, pair_counter=counter))
         assert counter.sum() == 2  # the pair, both directions
         ref = reference_forces(law2, ps)
         assert_forces_close(out.forces, ref)

@@ -3,9 +3,9 @@
 :mod:`repro.core.parallel` backs every harness ``--workers`` flag, so the
 properties the harnesses rely on are pinned here directly: results come
 back in task order (not completion order), ``workers=0`` is a plain
-serial fallback, a worker exception surfaces as :class:`WorkerError`
-naming *every* failed task index with the remote tracebacks, and
-:func:`spawn_seeds` is a pure function of its inputs.
+serial fallback, a lost task surfaces through :func:`values_or_raise` as
+:class:`WorkerError` naming *every* failed task index with the remote
+tracebacks, and :func:`spawn_seeds` is a pure function of its inputs.
 
 The supervised-executor layer (PR 9) adds its own contract: a
 :class:`RetryPolicy` with deterministic seeded backoff, per-task
@@ -37,7 +37,6 @@ from repro.core.parallel import (
     as_retry_policy,
     cached_map,
     load_quarantine,
-    parallel_map,
     run_supervised,
     spawn_seeds,
     values_or_raise,
@@ -125,38 +124,49 @@ def _sleep_until(wall_deadline):
 
 class TestSerialFallback:
     def test_workers_zero_is_a_list_comprehension(self):
-        assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert values_or_raise(run_supervised(_square, [1, 2, 3])) == \
+            [1, 4, 9]
 
     def test_serial_exceptions_propagate_natively(self):
-        with pytest.raises(ValueError, match="cursed"):
-            parallel_map(_boom, [0, 1, 2, 3])
+        # An un-retried serial failure now reaches the caller as a
+        # WorkerError, but the native exception's type, message and
+        # in-process frame survive in its traceback.
+        with pytest.raises(WorkerError) as err:
+            values_or_raise(run_supervised(_boom, [0, 1, 2, 3]))
+        assert err.value.indices == [2]
+        assert "ValueError: task payload 2 is cursed" in \
+            err.value.remote_traceback
+        assert "in _boom" in err.value.remote_traceback
+        assert "task 2 failed" in str(err.value)
 
     def test_empty_tasks(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert values_or_raise(run_supervised(_square, [], workers=4)) == []
 
 
 class TestParallelSemantics:
     def test_results_in_task_order(self):
         count = 4
         tasks = [(i, count) for i in range(count)]
-        assert parallel_map(_sleep_inverse, tasks, workers=4) == \
-            list(range(count))
+        outcomes = run_supervised(_sleep_inverse, tasks, workers=4)
+        assert values_or_raise(outcomes) == list(range(count))
 
     def test_matches_serial_output(self):
         tasks = list(range(10))
-        assert parallel_map(_square, tasks, workers=3) == \
-            parallel_map(_square, tasks, workers=0)
+        pooled = run_supervised(_square, tasks, workers=3)
+        serial = run_supervised(_square, tasks, workers=0)
+        assert values_or_raise(pooled) == values_or_raise(serial)
 
     def test_worker_error_names_index_and_traceback(self):
         with pytest.raises(WorkerError) as err:
-            parallel_map(_boom, [0, 1, 2, 3], workers=2)
+            values_or_raise(run_supervised(_boom, [0, 1, 2, 3], workers=2))
         assert err.value.index == 2
         assert "cursed" in err.value.remote_traceback
         assert "task 2" in str(err.value)
 
     def test_worker_error_aggregates_every_failure(self):
         with pytest.raises(WorkerError) as err:
-            parallel_map(_boom_even, [0, 1, 2, 3, 4], workers=2)
+            values_or_raise(run_supervised(_boom_even, [0, 1, 2, 3, 4],
+                                           workers=2))
         assert err.value.indices == [0, 2, 4]
         assert err.value.index == 0  # first failure keeps the PR-7 field
         assert "3 tasks failed" in str(err.value)
@@ -220,24 +230,22 @@ class TestRunSupervisedSerial:
         outcomes = run_supervised(_boom, [0, 1, 2, 3])
         assert [o.status for o in outcomes] == ["ok", "ok", "failed", "ok"]
 
+    # The next two keep the names of the removed fan-out helper's tests;
+    # run_supervised + values_or_raise is now the only fan-out.
     def test_parallel_map_retry_keeps_plain_results(self, tmp_path):
         tasks = [(i, str(tmp_path)) for i in range(3)]
-        got = parallel_map(_flaky, tasks,
-                           retry=RetryPolicy(max_attempts=2, base_delay=0.0))
+        got = values_or_raise(run_supervised(
+            _flaky, tasks, retry=RetryPolicy(max_attempts=2, base_delay=0.0)))
         assert got == [0, 10, 20]
 
     def test_parallel_map_collect_returns_outcomes(self):
-        outcomes = parallel_map(_boom, [0, 1, 2], on_error="collect")
+        outcomes = run_supervised(_boom, [0, 1, 2])
         assert all(isinstance(o, TaskOutcome) for o in outcomes)
         assert [o.ok for o in outcomes] == [True, True, False]
 
-    def test_parallel_map_rejects_unknown_on_error(self):
-        with pytest.raises(ValueError, match="on_error"):
-            parallel_map(_square, [1], on_error="explode")
-
     def test_serial_retry_failures_raise_aggregated_worker_error(self):
         with pytest.raises(WorkerError) as err:
-            parallel_map(_boom_even, [0, 1, 2], retry=2)
+            values_or_raise(run_supervised(_boom_even, [0, 1, 2], retry=2))
         assert err.value.indices == [0, 2]
         assert "cursed" in err.value.remote_traceback
 

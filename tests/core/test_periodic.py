@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    RunSpec,
     SimulationConfig,
     cutoff_config,
-    run_cutoff,
-    run_cutoff_virtual,
+    run,
     run_simulation,
     team_blocks_spatial,
 )
@@ -95,8 +95,9 @@ class TestPeriodicCutoffCorrectness:
         law = ForceLaw(k=1e-4, softening=1e-3)
         ps = ParticleSet.uniform_random(72, dim, 1.0, seed=31)
         ref = reference_forces(law.with_rcut(rcut).with_box(1.0), ps)
-        out = run_cutoff(GenericMachine(nranks=p), ps, c, rcut=rcut,
-                         box_length=1.0, law=law, periodic=True)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="cutoff",
+                          particles=ps, c=c, rcut=rcut, box_length=1.0,
+                          law=law, periodic=True))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", PC)
@@ -106,8 +107,9 @@ class TestPeriodicCutoffCorrectness:
         ps = ParticleSet.uniform_random(n, 1, 1.0, seed=32)
         rcut = 0.25
         counter = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=p), ps, c, rcut=rcut, box_length=1.0,
-                   law=law, pair_counter=counter, periodic=True)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="cutoff",
+                    particles=ps, c=c, rcut=rcut, box_length=1.0, law=law,
+                    pair_counter=counter, periodic=True))
         expect = reference_pair_matrix(law.with_rcut(rcut).with_box(1.0), ps)
         assert (counter == expect).all()
 
@@ -117,10 +119,12 @@ class TestPeriodicCutoffCorrectness:
         ps = ParticleSet.uniform_random(n, 1, 1.0, seed=33)
         per = np.zeros((n, n), dtype=np.int64)
         ref = np.zeros((n, n), dtype=np.int64)
-        run_cutoff(InstantMachine(nranks=8), ps, 2, rcut=0.25, box_length=1.0,
-                   law=law, pair_counter=per, periodic=True)
-        run_cutoff(InstantMachine(nranks=8), ps, 2, rcut=0.25, box_length=1.0,
-                   law=law, pair_counter=ref, periodic=False)
+        run(RunSpec(machine=InstantMachine(nranks=8), algorithm="cutoff",
+                    particles=ps, c=2, rcut=0.25, box_length=1.0, law=law,
+                    pair_counter=per, periodic=True))
+        run(RunSpec(machine=InstantMachine(nranks=8), algorithm="cutoff",
+                    particles=ps, c=2, rcut=0.25, box_length=1.0, law=law,
+                    pair_counter=ref, periodic=False))
         assert per.sum() > ref.sum()
 
 
@@ -129,14 +133,16 @@ class TestPeriodicLoadBalance:
         """Under PBC every team scans the same number of block pairs —
         the boundary imbalance the paper describes is gone."""
         p, n = 32, 2048
-        per = run_cutoff_virtual(GenericMachine(nranks=p), n, 1, rcut=0.25,
-                                 box_length=1.0, dim=1, periodic=True)
-        pairs = {r.col: r.npairs for r in per.results}
+        per = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
+                          box_length=1.0, dim=1, periodic=True))
+        pairs = {r.col: r.npairs for r in per.run.results}
         assert len(set(pairs.values())) == 1
 
-        ref = run_cutoff_virtual(GenericMachine(nranks=p), n, 1, rcut=0.25,
-                                 box_length=1.0, dim=1, periodic=False)
-        ref_pairs = {r.col: r.npairs for r in ref.results}
+        ref = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
+                          box_length=1.0, dim=1, periodic=False))
+        ref_pairs = {r.col: r.npairs for r in ref.run.results}
         assert len(set(ref_pairs.values())) > 1
 
     def test_periodic_shift_has_no_imbalance_stalls(self):
@@ -144,10 +150,10 @@ class TestPeriodicLoadBalance:
         from repro.machines import GenericTorus
 
         m = GenericTorus(nranks=32, cores_per_node=4)
-        per = run_cutoff_virtual(m, 4096, 2, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=True)
-        ref = run_cutoff_virtual(m, 4096, 2, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=False)
+        per = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=4096, c=2,
+                          rcut=0.25, box_length=1.0, dim=1, periodic=True))
+        ref = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=4096, c=2,
+                          rcut=0.25, box_length=1.0, dim=1, periodic=False))
         assert per.report.max_time("shift") < ref.report.max_time("shift")
 
 

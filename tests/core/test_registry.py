@@ -258,17 +258,11 @@ def test_run_surface(particles_2d):
     assert out.elapsed == out.run.elapsed
 
 
-def test_deprecated_result_aliases_are_run():
-    from repro.core import AllPairsRun, BaselineRun, CutoffRun, SymmetricRun
-
-    assert AllPairsRun is Run
-    assert CutoffRun is Run
-    assert SymmetricRun is Run
-    assert BaselineRun is Run
-
-
-def test_every_core_runner_is_registered_or_exempt():
-    """The CI gate's invariant, enforced from the suite as well."""
+def test_every_core_runner_is_registered_or_exempt(tmp_path):
+    """The CI gate's invariant, enforced from the suite as well: ``run()``
+    is the only entry point of a registered algorithm, so ``repro.core``
+    exports no ``run_*`` beyond the exempt multi-step drivers and no
+    module defines a per-algorithm ``run_<name>``."""
     import repro.core as core
     import sys
     from pathlib import Path
@@ -279,8 +273,13 @@ def test_every_core_runner_is_registered_or_exempt():
         import check_registry
     finally:
         sys.path.remove(str(tools))
-    registered = set(list_algorithms())
-    for runner in (n for n in core.__all__ if n.startswith("run_")):
-        if runner in check_registry.EXEMPT:
-            continue
-        assert runner[len("run_"):] in registered, runner
+    runners = {n for n in core.__all__ if n.startswith("run_")}
+    assert runners == set(check_registry.EXEMPT)
+    assert check_registry.problems() == []
+
+    # The gate bites: a re-added one-line shim is reported.
+    shim = tmp_path / "repro" / "core" / "shim.py"
+    shim.parent.mkdir(parents=True)
+    shim.write_text("def run_allpairs(machine, particles, c): ...\n")
+    assert any("run_allpairs" in p
+               for p in check_registry.problems(tmp_path))

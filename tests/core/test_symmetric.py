@@ -11,13 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    half_ring_schedule,
-    run_allpairs_virtual,
-    run_symmetric,
-    run_symmetric_virtual,
-    symmetric_config,
-)
+from repro.core import RunSpec, half_ring_schedule, run, symmetric_config
 from repro.machines import GenericMachine, GenericTorus, InstantMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces
 
@@ -72,7 +66,9 @@ class TestCorrectness:
     @pytest.mark.parametrize("p,c", CONFIGS)
     def test_forces_match_reference(self, p, c, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = run_symmetric(GenericMachine(nranks=p), particles_2d, c, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="symmetric", particles=particles_2d, c=c,
+                          law=law))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", CONFIGS)
@@ -80,17 +76,19 @@ class TestCorrectness:
         n = 48
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=55)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_symmetric(InstantMachine(nranks=p), ps, c, law=law,
-                      pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="symmetric",
+                    particles=ps, c=c, law=law, pair_counter=counter))
         expect = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(expect, 0)
         assert (counter == expect).all()
 
     def test_matches_standard_algorithm(self, law, particles_2d):
-        from repro.core import run_allpairs
-
-        std = run_allpairs(GenericMachine(nranks=8), particles_2d, 2, law=law)
-        sym = run_symmetric(GenericMachine(nranks=8), particles_2d, 2, law=law)
+        std = run(RunSpec(machine=GenericMachine(nranks=8),
+                          algorithm="allpairs", particles=particles_2d, c=2,
+                          law=law))
+        sym = run(RunSpec(machine=GenericMachine(nranks=8),
+                          algorithm="symmetric", particles=particles_2d, c=2,
+                          law=law))
         assert_forces_close(sym.forces, std.forces)
 
     @settings(max_examples=10, deadline=None)
@@ -101,8 +99,8 @@ class TestCorrectness:
         law = ForceLaw()
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=seed)
         counter = np.zeros((n, n), dtype=np.int64)
-        run_symmetric(InstantMachine(nranks=p), ps, c, law=law,
-                      pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm="symmetric",
+                    particles=ps, c=c, law=law, pair_counter=counter))
         expect = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(expect, 0)
         assert (counter == expect).all()
@@ -112,8 +110,10 @@ class TestCosts:
     def test_total_scans_exactly_halved(self):
         p, n = 16, 1024
         m = GenericMachine(nranks=p)
-        std = sum(r.npairs for r in run_allpairs_virtual(m, n, 2).results)
-        sym = sum(r.npairs for r in run_symmetric_virtual(m, n, 2).results)
+        std, sym = (
+            sum(r.npairs for r in run(RunSpec(machine=m, algorithm=name,
+                                              n=n, c=2)).run.results)
+            for name in ("allpairs_virtual", "symmetric_virtual"))
         # n^2 vs n(n-1)/2 + ... the pair total is (n^2 - n_self_diag)/2.
         assert std == n * n
         assert sym < std * 0.51
@@ -121,29 +121,36 @@ class TestCosts:
 
     def test_fewer_shift_steps(self):
         m = GenericTorus(nranks=32, cores_per_node=4)
-        std = run_allpairs_virtual(m, 2048, 2).report.max_messages("shift")
-        sym = run_symmetric_virtual(m, 2048, 2).report.max_messages("shift")
+        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+                          c=2)).report.max_messages("shift")
+        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+                          c=2)).report.max_messages("shift")
         assert sym < std
 
     def test_return_phase_present_and_small(self):
         m = GenericTorus(nranks=16, cores_per_node=4)
-        rep = run_symmetric_virtual(m, 2048, 2).report
+        rep = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+                          c=2)).report
         assert rep.max_messages("return") == 1
         assert rep.max_time("return") > 0
 
     def test_faster_in_compute_bound_regime(self):
         m = GenericTorus(nranks=16, cores_per_node=4, pair_time=1e-6,
                          alpha=1e-7, beta=1e-11)
-        std = run_allpairs_virtual(m, 2048, 2).elapsed
-        sym = run_symmetric_virtual(m, 2048, 2).elapsed
+        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+                          c=2)).elapsed
+        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+                          c=2)).elapsed
         assert sym < 0.75 * std
 
     def test_shift_bytes_carry_reactions(self):
         """Per-step messages are larger (positions + reactions) but the
         loop is about half as long."""
         m = GenericMachine(nranks=16)
-        std = run_allpairs_virtual(m, 2048, 1).report
-        sym = run_symmetric_virtual(m, 2048, 1).report
+        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+                          c=1)).report
+        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+                          c=1)).report
         per_msg_std = std.max_bytes("shift") / std.max_messages("shift")
         per_msg_sym = sym.max_bytes("shift") / sym.max_messages("shift")
         assert per_msg_sym > per_msg_std

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    list_algorithms,
-    run_half_systolic,
-    run_hyper_systolic,
-    run_systolic_ring,
-)
-from repro.core.runner import RunSpec, run
+from repro.core import RunSpec, list_algorithms, run
 from repro.machines import GenericMachine, InstantMachine
 from repro.physics import ParticleSet, reference_forces, reference_pair_matrix
 from repro.theory import (
@@ -20,17 +14,13 @@ from repro.theory import (
 
 from tests.conftest import assert_forces_close
 
-RUNNERS = {
-    "systolic_ring": run_systolic_ring,
-    "half_systolic": run_half_systolic,
-    "hyper_systolic": run_hyper_systolic,
-}
+FAMILY = ("half_systolic", "hyper_systolic", "systolic_ring")
 
 
 class TestRegistration:
     def test_family_is_registered(self):
         names = list_algorithms()
-        for name in RUNNERS:
+        for name in FAMILY:
             assert name in names
 
     def test_c_is_rejected(self):
@@ -41,52 +31,57 @@ class TestRegistration:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", FAMILY)
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
     def test_forces_match_reference(self, name, p, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = RUNNERS[name](GenericMachine(nranks=p), particles_2d, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm=name,
+                          particles=particles_2d, law=law))
         assert np.array_equal(out.ids, np.sort(particles_2d.ids))
         assert_forces_close(out.forces, ref)
 
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", FAMILY)
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_uneven_blocks(self, name, p, law):
         ps = ParticleSet.uniform_random(4 * p + 3, 2, 1.0, seed=7)
         ref = reference_forces(law, ps)
-        out = RUNNERS[name](GenericMachine(nranks=p), ps, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm=name,
+                          particles=ps, law=law))
         assert_forces_close(out.forces, ref)
 
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", FAMILY)
     @pytest.mark.parametrize("p", [2, 4, 7, 8])
     def test_every_pair_covered_exactly_once(self, name, p, law):
         n = 3 * p + 1
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=3)
         counter = np.zeros((n, n), dtype=np.int64)
-        RUNNERS[name](InstantMachine(nranks=p), ps, law=law,
-                      pair_counter=counter)
+        run(RunSpec(machine=InstantMachine(nranks=p), algorithm=name,
+                    particles=ps, law=law, pair_counter=counter))
         assert (counter == reference_pair_matrix(law, ps)).all()
 
     @pytest.mark.parametrize("p,k", [(8, 5), (16, 7), (16, 8)])
     def test_hyper_explicit_k(self, p, k, law, particles_2d):
         ref = reference_forces(law, particles_2d)
-        out = run_hyper_systolic(GenericMachine(nranks=p), particles_2d,
-                                 hyper_k=k, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="hyper_systolic", particles=particles_2d,
+                          hyper_k=k, law=law))
         assert_forces_close(out.forces, ref)
 
 
 class TestCosts:
     @pytest.mark.parametrize("p", [2, 8, 16])
     def test_ring_shift_messages(self, p, law, particles_2d):
-        out = run_systolic_ring(GenericMachine(nranks=p), particles_2d,
-                                law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="systolic_ring", particles=particles_2d,
+                          law=law))
         assert out.report.max_messages("shift") == \
             systolic_ring_cost(len(particles_2d), p).messages
 
     @pytest.mark.parametrize("p", [2, 8, 16])
     def test_half_ring_messages(self, p, law, particles_2d):
-        out = run_half_systolic(GenericMachine(nranks=p), particles_2d,
-                                law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="half_systolic", particles=particles_2d,
+                          law=law))
         measured = out.report.max_messages("shift") + \
             out.report.max_messages("return")
         assert measured == half_systolic_cost(len(particles_2d), p).messages
@@ -113,7 +108,7 @@ class TestCosts:
 
 
 class TestHeuristicTier:
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", FAMILY)
     @pytest.mark.parametrize("p", [3, 8])
     def test_traffic_matches_event_tier(self, name, p):
         ps = ParticleSet.uniform_random(4 * p + 1, 2, 1.0, seed=5)

@@ -9,7 +9,7 @@ algorithm stays exactly correct.
 import numpy as np
 import pytest
 
-from repro.core import cutoff_config, run_cutoff
+from repro.core import RunSpec, cutoff_config, run
 from repro.machines import GenericMachine, InstantMachine
 from repro.physics import (
     ForceLaw,
@@ -104,20 +104,23 @@ class TestWeightedCutoffRuns:
         ref = reference_forces(law.with_rcut(rcut), clustered)
         g = weighted_geometry(clustered, (16 // c,), 1.0)
         counter = np.zeros((400, 400), dtype=np.int64)
-        out = run_cutoff(InstantMachine(nranks=16), clustered, c, rcut=rcut,
-                         box_length=1.0, law=law, geometry=g,
-                         pair_counter=counter)
+        out = run(RunSpec(machine=InstantMachine(nranks=16),
+                          algorithm="cutoff", particles=clustered, c=c,
+                          rcut=rcut, box_length=1.0, law=law, geometry=g,
+                          pair_counter=counter))
         expect = reference_pair_matrix(law.with_rcut(rcut), clustered)
         assert (counter == expect).all()
         assert_forces_close(out.forces, ref)
 
     def test_scan_imbalance_drops(self, clustered, law):
         rcut = 0.1
-        eq = run_cutoff(InstantMachine(nranks=16), clustered, 1, rcut=rcut,
-                        box_length=1.0, law=law)
+        eq = run(RunSpec(machine=InstantMachine(nranks=16), algorithm="cutoff",
+                         particles=clustered, c=1, rcut=rcut, box_length=1.0,
+                         law=law))
         g = weighted_geometry(clustered, (16,), 1.0)
-        wt = run_cutoff(InstantMachine(nranks=16), clustered, 1, rcut=rcut,
-                        box_length=1.0, law=law, geometry=g)
+        wt = run(RunSpec(machine=InstantMachine(nranks=16), algorithm="cutoff",
+                         particles=clustered, c=1, rcut=rcut, box_length=1.0,
+                         law=law, geometry=g))
 
         def imbalance(run):
             scans = [r.npairs for r in run.run.results]
@@ -129,10 +132,11 @@ class TestWeightedCutoffRuns:
         """Balanced blocks shorten the simulated critical path."""
         m = GenericMachine(nranks=16)
         rcut = 0.1
-        eq = run_cutoff(m, clustered, 1, rcut=rcut, box_length=1.0, law=law)
+        eq = run(RunSpec(machine=m, algorithm="cutoff", particles=clustered,
+                         c=1, rcut=rcut, box_length=1.0, law=law))
         g = weighted_geometry(clustered, (16,), 1.0)
-        wt = run_cutoff(m, clustered, 1, rcut=rcut, box_length=1.0, law=law,
-                        geometry=g)
+        wt = run(RunSpec(machine=m, algorithm="cutoff", particles=clustered,
+                         c=1, rcut=rcut, box_length=1.0, law=law, geometry=g))
         assert wt.run.elapsed < eq.run.elapsed
 
     def test_geometry_team_count_validated(self, clustered, law):

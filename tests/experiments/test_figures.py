@@ -114,6 +114,29 @@ class TestScalingFigures:
         with pytest.raises(ValueError):
             run_figure(cfg)
 
+    def test_repeat_build_compares_no_more_schedules(self, monkeypatch):
+        """A second build of the same panel in one process does no more
+        ``ShiftSchedule`` equality walks than the first.  Each walk
+        compares the whole offset tuple (O(p/c)), so a memo keyed on an
+        equal-but-not-identical schedule once made the second
+        ``run_figure(FIG3["3a"])`` ~40x slower than the first."""
+        from repro.core.window import ShiftSchedule
+
+        calls = []
+        eq = ShiftSchedule.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(ShiftSchedule, "__eq__", counting_eq)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run_figure(FIG3["3a"])
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
+
 
 class TestValidation:
     def test_allpairs_validation_shape(self):

@@ -11,13 +11,7 @@ property.
 import numpy as np
 import pytest
 
-from repro.core import (
-    run_allpairs,
-    run_cutoff,
-    run_midpoint,
-    run_spatial,
-    run_symmetric,
-)
+from repro.core import RunSpec, run
 from repro.machines import GenericMachine
 from repro.physics import ForceLaw, ParticleSet, reference_forces
 
@@ -42,7 +36,9 @@ class TestAllPairsMatrix:
         ps = particles(2, seed=p)
         ref = reference_forces(LAW, ps)
         for c in all_divisor_cs(p):
-            out = run_allpairs(GenericMachine(nranks=p), ps, c, law=LAW)
+            out = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="allpairs", particles=ps, c=c,
+                              law=LAW))
             assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", [(8, 2), (12, 3), (18, 3)])
@@ -51,8 +47,9 @@ class TestAllPairsMatrix:
     def test_layouts_and_dimensions(self, p, c, layout, dim):
         ps = particles(dim, seed=100 + dim)
         ref = reference_forces(LAW, ps)
-        out = run_allpairs(GenericMachine(nranks=p), ps, c, law=LAW,
-                           layout=layout)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="allpairs", particles=ps, c=c, law=LAW,
+                          layout=layout))
         assert_forces_close(out.forces, ref)
 
 
@@ -62,7 +59,9 @@ class TestSymmetricMatrix:
         ps = particles(2, seed=200 + p)
         ref = reference_forces(LAW, ps)
         for c in all_divisor_cs(p):
-            out = run_symmetric(GenericMachine(nranks=p), ps, c, law=LAW)
+            out = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="symmetric", particles=ps, c=c,
+                              law=LAW))
             assert_forces_close(out.forces, ref)
 
 
@@ -79,8 +78,9 @@ class TestCutoffMatrix:
             law = law.with_box(1.0)
         ref = reference_forces(law, ps)
         for c in [c for c in all_divisor_cs(p) if c * c <= 4 * p][:4]:
-            out = run_cutoff(GenericMachine(nranks=p), ps, c, rcut=rcut,
-                             box_length=1.0, law=LAW, periodic=periodic)
+            out = run(RunSpec(machine=GenericMachine(nranks=p),
+                              algorithm="cutoff", particles=ps, c=c, rcut=rcut,
+                              box_length=1.0, law=LAW, periodic=periodic))
             assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p,c", [(8, 2), (16, 2), (16, 4), (12, 3)])
@@ -93,8 +93,9 @@ class TestCutoffMatrix:
         if periodic:
             law = law.with_box(1.0)
         ref = reference_forces(law, ps)
-        out = run_cutoff(GenericMachine(nranks=p), ps, c, rcut=rcut,
-                         box_length=1.0, dim=dim, law=LAW, periodic=periodic)
+        out = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="cutoff",
+                          particles=ps, c=c, rcut=rcut, box_length=1.0,
+                          dim=dim, law=LAW, periodic=periodic))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("team_dims", [(8,), (4, 2), (2, 2, 2)])
@@ -103,9 +104,10 @@ class TestCutoffMatrix:
         ps = particles(3, seed=500)
         rcut = 0.35
         ref = reference_forces(LAW.with_rcut(rcut), ps)
-        out = run_cutoff(GenericMachine(nranks=16), ps, 2, rcut=rcut,
-                         box_length=1.0, dim=len(team_dims),
-                         team_dims=team_dims, law=LAW)
+        out = run(RunSpec(machine=GenericMachine(nranks=16),
+                          algorithm="cutoff", particles=ps, c=2, rcut=rcut,
+                          box_length=1.0, dim=len(team_dims),
+                          team_dims=team_dims, law=LAW))
         assert_forces_close(out.forces, ref)
 
 
@@ -114,9 +116,9 @@ class TestBaselineMatrix:
     def test_force_decomposition_squares(self, p):
         ps = particles(2, seed=600 + p)
         ref = reference_forces(LAW, ps)
-        from repro.core import run_force_decomposition
-
-        out = run_force_decomposition(GenericMachine(nranks=p), ps, law=LAW)
+        out = run(RunSpec(machine=GenericMachine(nranks=p),
+                          algorithm="force_decomposition", particles=ps,
+                          law=LAW))
         assert_forces_close(out.forces, ref)
 
     @pytest.mark.parametrize("p", [4, 8, 12, 16])
@@ -124,10 +126,11 @@ class TestBaselineMatrix:
     def test_spatial_and_midpoint_agree(self, p, rcut):
         ps = particles(2, seed=700 + p)
         ref = reference_forces(LAW.with_rcut(rcut), ps)
-        sp = run_spatial(GenericMachine(nranks=p), ps, rcut=rcut,
-                         box_length=1.0, law=LAW)
-        mp = run_midpoint(GenericMachine(nranks=p), ps, rcut=rcut,
-                          box_length=1.0, law=LAW)
+        sp = run(RunSpec(machine=GenericMachine(nranks=p), algorithm="spatial",
+                         particles=ps, rcut=rcut, box_length=1.0, law=LAW))
+        mp = run(RunSpec(machine=GenericMachine(nranks=p),
+                         algorithm="midpoint", particles=ps, rcut=rcut,
+                         box_length=1.0, law=LAW))
         assert_forces_close(sp.forces, ref)
         assert_forces_close(mp.forces, ref)
         assert np.allclose(sp.forces, mp.forces, atol=1e-12)

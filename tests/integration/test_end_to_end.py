@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    RunSpec,
     SimulationConfig,
     allpairs_config,
     autotune_c,
     cutoff_config,
-    run_allpairs,
-    run_cutoff,
+    run,
     run_simulation,
     team_blocks_even,
     team_blocks_spatial,
@@ -32,7 +32,8 @@ class TestQuickstartFlow:
     def test_forces_and_report(self):
         particles = ParticleSet.uniform_random(256, 2, 1.0, seed=0)
         machine = GenericTorus(nranks=16, cores_per_node=4)
-        out = run_allpairs(machine, particles, c=4)
+        out = run(RunSpec(machine=machine, algorithm="allpairs",
+                          particles=particles, c=4))
         assert out.forces.shape == (256, 2)
         ref = reference_forces(ForceLaw(), particles)
         assert_forces_close(out.forces, ref)
@@ -84,7 +85,8 @@ class TestTuningWorkflow:
                                pair_time=2e-9)
         tuned = autotune_c(machine, 2048)
         particles = ParticleSet.uniform_random(128, 2, 1.0, seed=5)
-        out = run_allpairs(machine, particles, tuned.best_c)
+        out = run(RunSpec(machine=machine, algorithm="allpairs",
+                          particles=particles, c=tuned.best_c))
         ref = reference_forces(ForceLaw(), particles)
         assert_forces_close(out.forces, ref)
 
@@ -95,7 +97,8 @@ class TestCrossMachineConsistency:
         law = ForceLaw()
         ps = ParticleSet.uniform_random(64, 2, 1.0, seed=6)
         outs = [
-            run_allpairs(m, ps, 2, law=law)
+            run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=2,
+                        law=law))
             for m in (
                 GenericTorus(nranks=8, cores_per_node=2),
                 Hopper(8, cores_per_node=2),
@@ -112,7 +115,8 @@ class TestCrossMachineConsistency:
         ps = ParticleSet.uniform_random(80, 2, 1.0, seed=7)
         ref = reference_forces(law.with_rcut(0.3), ps)
         for c, team_dims in [(1, (8,)), (2, (2, 2)), (4, (2,))]:
-            out = run_cutoff(GenericTorus(nranks=8, cores_per_node=2), ps, c,
-                             rcut=0.3, box_length=1.0, law=law,
-                             team_dims=team_dims, dim=len(team_dims))
+            out = run(RunSpec(machine=GenericTorus(nranks=8, cores_per_node=2),
+                              algorithm="cutoff", particles=ps, c=c, rcut=0.3,
+                              box_length=1.0, law=law, team_dims=team_dims,
+                              dim=len(team_dims)))
             assert_forces_close(out.forces, ref)

@@ -3,7 +3,7 @@ justifies using the model at the paper's 24K/32K-core scales."""
 
 import pytest
 
-from repro.core import run_allpairs_virtual, run_cutoff_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper, Intrepid
 from repro.model import (
     allgather_baseline_breakdown,
@@ -23,7 +23,8 @@ class TestAllPairsConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_phases_match(self, machine, c):
-        sim = run_allpairs_virtual(machine, 8192, c)
+        sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                          n=8192, c=c))
         model = allpairs_breakdown(machine, 8192, c)
         for phase in ("bcast", "shift", "compute", "reduce"):
             s = sim.report.max_time(phase)
@@ -32,19 +33,22 @@ class TestAllPairsConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_makespan_matches(self, machine, c):
-        sim = run_allpairs_virtual(machine, 8192, c)
+        sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                          n=8192, c=c))
         model = allpairs_breakdown(machine, 8192, c)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.02)
 
     def test_different_n(self, machine):
         for n in (1024, 4096):
-            sim = run_allpairs_virtual(machine, n, 4)
+            sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                              n=n, c=4))
             model = allpairs_breakdown(machine, n, 4)
             assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)
 
     def test_hopper_flavor_machine(self):
         m = Hopper(48, cores_per_node=12)
-        sim = run_allpairs_virtual(m, 4096, 4)
+        sim = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=4096,
+                          c=4))
         model = allpairs_breakdown(m, 4096, 4)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.1)
 
@@ -57,8 +61,8 @@ class TestCutoffConsistency:
     @pytest.mark.parametrize("dim,rcut", [(1, 0.25), (2, 0.2)])
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, dim, rcut, c):
-        sim = run_cutoff_virtual(machine, 8192, c, rcut=rcut, box_length=1.0,
-                                 dim=dim)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=c, rcut=rcut, box_length=1.0, dim=dim))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.get("compute") == pytest.approx(
@@ -68,8 +72,8 @@ class TestCutoffConsistency:
     @pytest.mark.parametrize("dim,rcut", [(1, 0.25), (2, 0.2)])
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_shift_and_bcast_match(self, machine, dim, rcut, c):
-        sim = run_cutoff_virtual(machine, 8192, c, rcut=rcut, box_length=1.0,
-                                 dim=dim)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=c, rcut=rcut, box_length=1.0, dim=dim))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.get("bcast") == pytest.approx(
@@ -86,8 +90,8 @@ class TestCutoffConsistency:
                                             (2, 0.2, 1), (2, 0.2, 2),
                                             (2, 0.2, 4), (2, 0.2, 8)])
     def test_makespan_within_tolerance(self, machine, dim, rcut, c):
-        sim = run_cutoff_virtual(machine, 8192, c, rcut=rcut, box_length=1.0,
-                                 dim=dim)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=c, rcut=rcut, box_length=1.0, dim=dim))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import run_cutoff_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
 from repro.model import cutoff_breakdown
 
@@ -16,8 +16,9 @@ def machine():
 class TestConsistency:
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, c):
-        sim = run_cutoff_virtual(machine, 8192, c, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=True)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=c, rcut=0.25, box_length=1.0, dim=1,
+                          periodic=True))
         mod = cutoff_breakdown(machine, 8192, c, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)
         assert mod.get("compute") == pytest.approx(
@@ -26,16 +27,18 @@ class TestConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_makespan(self, machine, c):
-        sim = run_cutoff_virtual(machine, 8192, c, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=True)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=c, rcut=0.25, box_length=1.0, dim=1,
+                          periodic=True))
         mod = cutoff_breakdown(machine, 8192, c, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)
         assert mod.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)
 
     def test_shift_exact_at_c1(self, machine):
         """Uniform work: the gate model is exact, not just close."""
-        sim = run_cutoff_virtual(machine, 8192, 1, rcut=0.25, box_length=1.0,
-                                 dim=1, periodic=True)
+        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
+                          c=1, rcut=0.25, box_length=1.0, dim=1,
+                          periodic=True))
         mod = cutoff_breakdown(machine, 8192, 1, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)
         assert mod.get("shift") == pytest.approx(

@@ -35,19 +35,21 @@ class TestPhaseBreakdown:
         assert "total=" in text and "shift=" in text
 
     def test_from_report(self):
-        from repro.core import run_allpairs_virtual
+        from repro.core import RunSpec, run
         from repro.machines import GenericMachine
 
-        run = run_allpairs_virtual(GenericMachine(nranks=8), 512, 2)
-        pb = PhaseBreakdown.from_report(run.report)
-        assert pb.get("compute") == run.report.max_time("compute")
-        assert pb.get("shift") == run.report.max_time("shift")
+        res = run(RunSpec(machine=GenericMachine(nranks=8),
+                          algorithm="allpairs_virtual", n=512, c=2))
+        pb = PhaseBreakdown.from_report(res.report)
+        assert pb.get("compute") == res.report.max_time("compute")
+        assert pb.get("shift") == res.report.max_time("shift")
 
     def test_from_report_with_fixed_labels(self):
-        from repro.core import run_allpairs_virtual
+        from repro.core import RunSpec, run
         from repro.machines import GenericMachine
 
-        run = run_allpairs_virtual(GenericMachine(nranks=8), 512, 1)
-        pb = PhaseBreakdown.from_report(run.report, ("bcast", "shift"))
+        res = run(RunSpec(machine=GenericMachine(nranks=8),
+                          algorithm="allpairs_virtual", n=512, c=1))
+        pb = PhaseBreakdown.from_report(res.report, ("bcast", "shift"))
         assert set(pb.phases) == {"bcast", "shift"}
         assert pb.get("bcast") == 0.0

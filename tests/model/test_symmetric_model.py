@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import run_symmetric_virtual
+from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
 from repro.model import allpairs_breakdown, symmetric_breakdown
 
@@ -16,7 +16,8 @@ def machine():
 class TestConsistency:
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, c):
-        sim = run_symmetric_virtual(machine, 8192, c)
+        sim = run(RunSpec(machine=machine, algorithm="symmetric_virtual",
+                          n=8192, c=c))
         model = symmetric_breakdown(machine, 8192, c)
         assert model.get("compute") == pytest.approx(
             sim.report.max_time("compute"), rel=0.01
@@ -24,7 +25,8 @@ class TestConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_makespan_within_tolerance(self, machine, c):
-        sim = run_symmetric_virtual(machine, 8192, c)
+        sim = run(RunSpec(machine=machine, algorithm="symmetric_virtual",
+                          n=8192, c=c))
         model = symmetric_breakdown(machine, 8192, c)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.25)
 

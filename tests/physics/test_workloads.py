@@ -121,12 +121,13 @@ class TestLoadImbalanceEffect:
 
     def test_physics_still_correct_on_clusters(self, law):
         """Correctness is distribution-independent."""
-        from repro.core import run_cutoff
+        from repro.core import RunSpec, run
         from repro.machines import GenericMachine
 
         ps = gaussian_clusters(80, 2, 1.0, nclusters=3, spread=0.08, seed=5)
         ref = reference_forces(law.with_rcut(0.3), ps)
-        out = run_cutoff(GenericMachine(nranks=8), ps, 2, rcut=0.3,
-                         box_length=1.0, law=law)
+        out = run(RunSpec(machine=GenericMachine(nranks=8), algorithm="cutoff",
+                          particles=ps, c=2, rcut=0.3, box_length=1.0,
+                          law=law))
         scale = max(float(np.abs(ref).max()), 1e-30)
         assert np.abs(out.forces - ref).max() <= 1e-9 * scale

@@ -11,27 +11,27 @@ observationally identical to attaching none at all.
 
 import pytest
 
-from repro.core import allpairs_config, run_allpairs_virtual, run_cutoff_virtual
+from repro.core import RunSpec, allpairs_config, run
 from repro.machines import GenericTorus
 from repro.simmpi import DropTransfer, FaultSchedule, KillRank
 
 _P, _C, _N = 8, 2, 1024
 
 
-def _fingerprint(run):
+def _fingerprint(out):
     """Every observable of a run, as a comparable value."""
     phases = {}
-    for tr in run.report.traces:
+    for tr in out.report.traces:
         for label, tot in tr.phases.items():
             phases[(tr.rank, label)] = (
                 tot.seconds, tot.messages_sent, tot.bytes_sent
             )
     return (
-        tuple(run.clocks),
-        run.elapsed,
-        dict(run.deaths),
-        run.report.total_messages(),
-        run.report.total_bytes(),
+        tuple(out.run.clocks),
+        out.elapsed,
+        dict(out.run.deaths),
+        out.report.total_messages(),
+        out.report.total_bytes(),
         phases,
     )
 
@@ -45,15 +45,19 @@ def _faulty_schedule():
 class TestCleanDeterminism:
     def test_allpairs_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run_allpairs_virtual(machine, _N, _C)
-        b = run_allpairs_virtual(machine, _N, _C)
+        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C))
+        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C))
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_cutoff_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         kw = dict(rcut=0.3, box_length=1.0)
-        a = run_cutoff_virtual(machine, _N, _C, **kw)
-        b = run_cutoff_virtual(machine, _N, _C, **kw)
+        a = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+                        c=_C, **kw))
+        b = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+                        c=_C, **kw))
         assert _fingerprint(a) == _fingerprint(b)
 
 
@@ -61,26 +65,32 @@ class TestCleanDeterminism:
 class TestFaultyDeterminism:
     def test_faulty_run_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run_allpairs_virtual(machine, _N, _C, faults=_faulty_schedule())
-        b = run_allpairs_virtual(machine, _N, _C, faults=_faulty_schedule())
-        assert a.deaths, "schedule must actually kill rank 5"
+        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=_faulty_schedule()))
+        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=_faulty_schedule()))
+        assert a.run.deaths, "schedule must actually kill rank 5"
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_schedule_object_reuse_identical(self):
         """One schedule object reused across runs leaks no state."""
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         sched = _faulty_schedule()
-        a = run_allpairs_virtual(machine, _N, _C, faults=sched)
-        b = run_allpairs_virtual(machine, _N, _C, faults=sched)
+        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=sched))
+        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=sched))
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_faulty_cutoff_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         sched = FaultSchedule(events=(KillRank(6, after_ops=5),))
         kw = dict(rcut=0.3, box_length=1.0)
-        a = run_cutoff_virtual(machine, _N, _C, faults=sched, **kw)
-        b = run_cutoff_virtual(machine, _N, _C, faults=sched, **kw)
-        assert a.deaths
+        a = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+                        c=_C, faults=sched, **kw))
+        b = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+                        c=_C, faults=sched, **kw))
+        assert a.run.deaths
         assert _fingerprint(a) == _fingerprint(b)
 
 
@@ -96,10 +106,12 @@ class TestEmptyScheduleTransparency:
         messages and never extends the makespan.
         """
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        bare = run_allpairs_virtual(machine, _N, c)
-        empty = run_allpairs_virtual(machine, _N, c, faults=FaultSchedule())
+        bare = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                           c=c))
+        empty = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                            n=_N, c=c, faults=FaultSchedule()))
         assert empty.elapsed == bare.elapsed
-        assert not empty.deaths
+        assert not empty.run.deaths
         assert empty.report.total_messages() == bare.report.total_messages()
         assert empty.report.total_bytes() == bare.report.total_bytes()
         # Per-rank total time is unchanged; only phase attribution moves.
@@ -108,16 +120,19 @@ class TestEmptyScheduleTransparency:
 
     def test_empty_schedule_identical_across_runs(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run_allpairs_virtual(machine, _N, _C, faults=FaultSchedule())
-        b = run_allpairs_virtual(machine, _N, _C, faults=FaultSchedule())
+        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=FaultSchedule()))
+        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+                        c=_C, faults=FaultSchedule()))
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_fault_run_has_recover_phase_clean_run_does_not(self):
         from repro.simmpi.tracing import RECOVER_PHASE
 
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        clean = run_allpairs_virtual(machine, _N, _C)
-        faulty = run_allpairs_virtual(machine, _N, _C,
-                                      faults=_faulty_schedule())
+        clean = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                            n=_N, c=_C))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
+                             n=_N, c=_C, faults=_faulty_schedule()))
         assert RECOVER_PHASE not in clean.report.phase_labels()
         assert faulty.report.max_time(RECOVER_PHASE) > 0

@@ -47,13 +47,14 @@ class TestSizeOneEdges:
         assert Engine(GenericMachine(nranks=1)).run(program).results == [[]]
 
     def test_single_rank_grid(self):
-        from repro.core import run_allpairs
+        from repro.core import RunSpec, run
         from repro.physics import ForceLaw, ParticleSet, reference_forces
 
         import numpy as np
 
         ps = ParticleSet.uniform_random(20, 2, 1.0, seed=0)
-        out = run_allpairs(GenericMachine(nranks=1), ps, 1)
+        out = run(RunSpec(machine=GenericMachine(nranks=1),
+                          algorithm="allpairs", particles=ps, c=1))
         assert np.allclose(out.forces, reference_forces(ForceLaw(), ps),
                            atol=1e-18)
 

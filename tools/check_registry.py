@@ -1,15 +1,18 @@
 #!/usr/bin/env python
-"""Registry-completeness check (CI gate).
+"""One-entry-point check (CI gate).
 
-Every ``run_*`` entry point exported by :mod:`repro.core` must be a thin
-shim over the algorithm registry — i.e. there must be a registered
-algorithm whose name matches the stripped entry-point name — or be listed
-in ``EXEMPT`` with a reason.  Conversely, every registered algorithm must
-have a matching ``run_<name>`` shim, so the registry can't silently grow
-entries the documented API doesn't expose.
+A registered algorithm is launched one way only:
+``run(RunSpec(machine=..., algorithm="<name>", ...))``.  The gate fails
+when a second way reappears:
 
-Exit status 0 when both directions hold; 1 with a listing of every
-violation otherwise.
+* :mod:`repro.core` exports a ``run_*`` name other than the ``EXEMPT``
+  multi-step drivers;
+* any module under ``src/repro/`` binds a top-level ``run_<name>`` (a
+  ``def``, or an assignment such as a ``partial`` or an alias) for a
+  registered algorithm ``<name>``.
+
+Exit status 0 when neither happens; 1 with a listing of every violation
+otherwise.
 
 Usage::
 
@@ -18,6 +21,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -33,46 +37,54 @@ EXEMPT = {
 }
 
 
-def main() -> int:
+def _top_level_names(tree: ast.Module):
+    """``(name, lineno)`` of every top-level def / assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node.lineno
+
+
+def problems(src_root: Path = _SRC) -> list[str]:
+    """Every second entry point found under ``src_root/repro``."""
     import repro.core as core
     from repro.core import list_algorithms
 
-    runners = sorted(name for name in core.__all__ if name.startswith("run_"))
-    registered = set(list_algorithms())
-    problems: list[str] = []
+    found = [
+        f"repro.core exports {name}; launch registered algorithms "
+        f"through run(RunSpec(...))"
+        for name in sorted(core.__all__)
+        if name.startswith("run_") and name not in EXEMPT
+    ]
+    shims = {f"run_{name}" for name in list_algorithms()}
+    for path in sorted((src_root / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, lineno in _top_level_names(tree):
+            if name in shims:
+                found.append(
+                    f"{path.relative_to(src_root)}:{lineno} defines {name}, "
+                    f"a second entry point for registered algorithm "
+                    f"{name[len('run_'):]!r}")
+    return found
 
-    for runner in runners:
-        name = runner[len("run_"):]
-        if runner in EXEMPT:
-            if name in registered:
-                problems.append(
-                    f"{runner} is EXEMPT ({EXEMPT[runner]}) but algorithm "
-                    f"{name!r} is registered anyway — drop one"
-                )
-            continue
-        if name not in registered:
-            problems.append(
-                f"{runner} exported by repro.core has no registered "
-                f"algorithm {name!r} (register it or add an EXEMPT entry)"
-            )
 
-    shim_names = {r[len("run_"):] for r in runners}
-    for name in sorted(registered):
-        if name not in shim_names:
-            problems.append(
-                f"algorithm {name!r} is registered but repro.core exports "
-                f"no run_{name} shim"
-            )
+def main() -> int:
+    from repro.core import list_algorithms
 
-    if problems:
-        print("registry completeness check FAILED:", file=sys.stderr)
-        for p in problems:
+    found = problems()
+    if found:
+        print("one-entry-point check FAILED:", file=sys.stderr)
+        for p in found:
             print(f"  - {p}", file=sys.stderr)
         return 1
-
-    print(f"registry completeness OK: {len(registered)} algorithms, "
-          f"{len(runners) - len(EXEMPT)} registered runners, "
-          f"{len(EXEMPT)} exempt ({', '.join(sorted(EXEMPT))})")
+    print(f"one-entry-point check OK: {len(list_algorithms())} algorithms "
+          f"launched through run(RunSpec(...)); exempt drivers: "
+          f"{', '.join(sorted(EXEMPT))}")
     return 0
 
 
