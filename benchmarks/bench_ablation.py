@@ -24,6 +24,7 @@ from benchmarks.conftest import emit
 from repro.core import RunSpec, run
 from repro.machines import Hopper, Intrepid
 from repro.model import allgather_baseline_breakdown, allpairs_breakdown
+from repro.physics import PhantomSet
 
 
 def _comm_optimum(machine, n, cs):
@@ -120,11 +121,13 @@ def test_eager_protocol_shrinks_imbalance_waits(benchmark):
     m = Hopper(96, cores_per_node=12)
 
     def measure():
-        rendezvous = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192,
-                                 c=2, rcut=0.25, box_length=1.0, dim=1,
+        rendezvous = run(RunSpec(machine=m, algorithm="cutoff",
+                                 particles=PhantomSet(8192, 1),
+                                 c=2, rcut=0.25, box_length=1.0,
                                  eager_threshold=0))
-        eager = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192, c=2,
-                            rcut=0.25, box_length=1.0, dim=1,
+        eager = run(RunSpec(machine=m, algorithm="cutoff",
+                            particles=PhantomSet(8192, 1), c=2,
+                            rcut=0.25, box_length=1.0,
                             eager_threshold=1 << 30))
         return rendezvous, eager
 

@@ -13,7 +13,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
-from repro.physics import ForceLaw, ParticleSet, two_phase
+from repro.physics import ForceLaw, ParticleSet, PhantomSet, two_phase
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -22,8 +22,10 @@ def test_symmetric_variant_halves_computation(benchmark):
     n = 8192
 
     def measure():
-        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n, c=2))
-        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=n, c=2))
+        std = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(n), c=2))
+        sym = run(RunSpec(machine=m, algorithm="symmetric",
+                          particles=PhantomSet(n), c=2))
         return std, sym
 
     std, sym = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -72,10 +74,12 @@ def test_periodic_boundaries_remove_load_imbalance(benchmark):
     n = 9216  # divisible by the 96 teams: equal blocks isolate the window effect
 
     def measure():
-        refl = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=n, c=1,
-                           rcut=0.25, box_length=1.0, dim=1, periodic=False))
-        per = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=n, c=1,
-                          rcut=0.25, box_length=1.0, dim=1, periodic=True))
+        refl = run(RunSpec(machine=m, algorithm="cutoff",
+                           particles=PhantomSet(n, 1), c=1,
+                           rcut=0.25, box_length=1.0, periodic=False))
+        per = run(RunSpec(machine=m, algorithm="cutoff",
+                          particles=PhantomSet(n, 1), c=1,
+                          rcut=0.25, box_length=1.0, periodic=True))
         return refl, per
 
     refl, per = benchmark.pedantic(measure, rounds=1, iterations=1)

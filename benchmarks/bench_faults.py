@@ -24,6 +24,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.core import RunSpec, run
 from repro.machines import GenericTorus
+from repro.physics import PhantomSet
 from repro.simmpi import FaultSchedule, KillRank
 from repro.simmpi.tracing import RECOVER_PHASE
 
@@ -44,11 +45,13 @@ def test_recovery_overhead_vs_c(benchmark, c):
     """Simulated cost of absorbing one rank death, per replication factor."""
     machine = GenericTorus(nranks=_P, cores_per_node=4)
 
-    clean = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+    clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=c))
 
     def measure():
-        return run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        return run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=PhantomSet(_N),
                            c=c, faults=_kill_schedule(c)))
 
     faulty = benchmark.pedantic(measure, rounds=3, iterations=1)
@@ -67,11 +70,13 @@ def test_recovery_overhead_vs_c(benchmark, c):
 def test_fault_free_schedule_is_free(benchmark):
     """An attached-but-empty schedule must not change the virtual clocks."""
     machine = GenericTorus(nranks=_P, cores_per_node=4)
-    baseline = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+    baseline = run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=PhantomSet(_N),
                            c=4))
 
     def measure():
-        return run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        return run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=PhantomSet(_N),
                            c=4, faults=FaultSchedule()))
 
     result = benchmark(measure)

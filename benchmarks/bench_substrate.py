@@ -11,7 +11,7 @@ import pytest
 
 from repro.machines import GenericTorus, Hopper
 from repro.model import allpairs_breakdown, cutoff_breakdown
-from repro.physics import ForceLaw, pairwise_forces
+from repro.physics import ForceLaw, PhantomSet, pairwise_forces
 from repro.simmpi import Engine
 
 
@@ -56,8 +56,8 @@ def test_engine_thousand_rank_ca_step(benchmark):
     machine = GenericTorus(nranks=1024, cores_per_node=4)
 
     def measure():
-        return run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                           n=16384, c=8))
+        return run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=PhantomSet(16384), c=8))
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert sum(r.npairs for r in result.run.results) == 16384 * 16384

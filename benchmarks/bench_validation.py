@@ -14,6 +14,7 @@ from benchmarks.conftest import emit
 from repro.core import RunSpec, run
 from repro.experiments import FIG2, FIG6, render_figure, validate_figure
 from repro.machines import Hopper, Intrepid
+from repro.physics import PhantomSet
 
 
 @pytest.mark.benchmark(group="validation")
@@ -76,7 +77,8 @@ def test_superlinear_shift_reduction(benchmark):
 
     def measure():
         return {
-            c: run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+            c: run(RunSpec(machine=m, algorithm="allpairs",
+                           particles=PhantomSet(8192),
                            c=c)).report.max_messages("shift")
             for c in (1, 2, 4, 8)
         }
@@ -100,7 +102,8 @@ def test_strong_scaling_shape_event_simulation(benchmark):
             series = []
             for p in sizes:
                 m = Hopper(p, cores_per_node=8)
-                r = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n,
+                r = run(RunSpec(machine=m, algorithm="allpairs",
+                                particles=PhantomSet(n),
                                 c=c))
                 series.append((p, r.elapsed))
             out[c] = series
@@ -127,8 +130,9 @@ def test_cutoff_boundary_imbalance(benchmark):
     m = Hopper(96, cores_per_node=12)
 
     def measure():
-        return run(RunSpec(machine=m, algorithm="cutoff_virtual", n=8192, c=1,
-                           rcut=0.25, box_length=1.0, dim=1))
+        return run(RunSpec(machine=m, algorithm="cutoff",
+                           particles=PhantomSet(8192, 1), c=1,
+                           rcut=0.25, box_length=1.0))
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     pairs = {r.col: r.npairs for r in result.run.results}

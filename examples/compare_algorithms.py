@@ -24,9 +24,7 @@ def main() -> None:
     # The registry knows each algorithm's capabilities.
     print("registered algorithms:")
     for name in list_algorithms():
-        alg = get_algorithm(name)
-        kind = "functional" if alg.functional else "modeled"
-        print(f"  {name:22s} {kind:10s} {alg.summary}")
+        print(f"  {name:22s} {get_algorithm(name).summary}")
 
     # One declarative spec runs any of them through the same pipeline.
     out = run(RunSpec(machine=machine, algorithm="symmetric",

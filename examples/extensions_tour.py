@@ -32,6 +32,7 @@ from repro.model import (
 from repro.physics import (
     ForceLaw,
     ParticleSet,
+    PhantomSet,
     kinetic_energy,
     potential_energy,
 )
@@ -54,8 +55,9 @@ def periodic_imbalance() -> None:
     print("=== 2. Boundary load imbalance, reflective vs periodic ===")
     m = Hopper(96, cores_per_node=12)
     for periodic in (False, True):
-        res = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=9216, c=1,
-                          rcut=0.25, box_length=1.0, dim=1, periodic=periodic))
+        res = run(RunSpec(machine=m, algorithm="cutoff",
+                          particles=PhantomSet(9216, 1), c=1,
+                          rcut=0.25, box_length=1.0, periodic=periodic))
         pairs = [r.npairs for r in res.run.results]
         label = "periodic  " if periodic else "reflective"
         print(f"  {label}: scans min={min(pairs)} max={max(pairs)} "

@@ -15,8 +15,8 @@ Commands
     Run a small functional MD simulation end to end and report physics
     (energy drift) plus the simulated-machine phase breakdown.
 ``algorithms``
-    List every algorithm in the registry with its capabilities (modeled vs
-    functional, replication knob, fault-recovery mode, requirements).
+    List every algorithm in the registry with its capabilities
+    (replication knob, fault-recovery mode, requirements).
 ``compare [--ranks P] [-c C] [--particles N] [--algorithms A,B,...] ...``
     Run registered algorithms on one shared workload/machine and tabulate
     phase times, message/byte counts and force agreement side by side
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replication factor where the algorithm has one")
     p_cmp.add_argument("--algorithms", default=None, metavar="A,B,...",
                        help="comma-separated registry names "
-                            "(default: every functional algorithm)")
+                            "(default: every algorithm)")
     p_cmp.add_argument("--rcut", type=float, default=None,
                        help="cutoff radius (required by cutoff-windowed "
                             "algorithms; omit to skip them)")
@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaving fuzzer: explore perturbed engine schedules per "
              "algorithm and assert bitwise-identical forces and traffic")
     p_fuzz.add_argument("--algorithms", default=None, metavar="A,B,...",
-                        help="comma-separated registry names "
-                             "(default: the whole registry)")
+                        help="comma-separated registry names or phantom "
+                             "units (allpairs_phantom, cutoff_phantom, "
+                             "symmetric_phantom; default: all of them)")
     p_fuzz.add_argument("--schedules", type=int, default=100,
                         help="explored schedules per algorithm (default 100)")
     p_fuzz.add_argument("--seed", type=int, default=0,
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
              "content-addressed run cache")
     p_sweep.add_argument("--algorithms", default=None, metavar="A,B,...",
                          help="comma-separated registry names "
-                              "(default: every functional algorithm)")
+                              "(default: every algorithm)")
     p_sweep.add_argument("--machine", default="generic",
                          choices=["generic", "torus", "hopper", "intrepid"])
     p_sweep.add_argument("--ranks", default="16", metavar="P,P,...",
@@ -447,21 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _machine(name: str, p: int):
-    from repro.machines import GenericTorus, Hopper, Intrepid
+    from repro.machines import GenericTorus, Hopper, Intrepid, node_cores
 
-    if name == "hopper":
-        cpn = 24 if p % 24 == 0 else _small_cpn(p)
-        return Hopper(p, cores_per_node=cpn)
-    if name == "intrepid":
-        return Intrepid(p, cores_per_node=4 if p % 4 == 0 else 1)
-    return GenericTorus(p, cores_per_node=4 if p % 4 == 0 else 1)
-
-
-def _small_cpn(p: int) -> int:
-    for cpn in (12, 8, 6, 4, 2, 1):
-        if p % cpn == 0:
-            return cpn
-    return 1
+    factory = {"hopper": Hopper, "intrepid": Intrepid}.get(name, GenericTorus)
+    return factory(p, cores_per_node=node_cores(name, p))
 
 
 def _cmd_figures(args, out) -> int:
@@ -598,7 +588,7 @@ def _cmd_simulate(args, out) -> int:
 def _cmd_algorithms(args, out) -> int:
     from repro.core import get_algorithm, list_algorithms
 
-    print(f"{'name':<22} {'kind':<10} {'c':<5} {'faults':<10} requirements",
+    print(f"{'name':<22} {'c':<5} {'faults':<10} requirements",
           file=out)
     for name in list_algorithms():
         alg = get_algorithm(name)
@@ -609,7 +599,6 @@ def _cmd_algorithms(args, out) -> int:
             needs.append("square p")
         print(
             f"{name:<22} "
-            f"{'functional' if alg.functional else 'modeled':<10} "
             f"{'yes' if alg.supports_c else 'no':<5} "
             f"{alg.fault_mode:<10} "
             f"{', '.join(needs) if needs else '-'}",
@@ -744,8 +733,7 @@ def _cmd_sweep(args, out) -> int:
         return [int(x) for x in text.split(",") if x.strip()]
 
     names = ([a.strip() for a in args.algorithms.split(",") if a.strip()]
-             if args.algorithms is not None
-             else list_algorithms(functional=True))
+             if args.algorithms is not None else list_algorithms())
     try:
         tasks, skipped = expand_grid(
             names, ps=_ints(args.ranks), cs=_ints(args.cs),

@@ -6,24 +6,17 @@ ordered forces.  At ``c = 1`` the configuration degenerates into Plimpton's
 particle decomposition (a systolic ring); at ``c = sqrt(p)`` into his force
 decomposition — exactly as the paper observes.
 
-Both variants are registered adapters over the single run pipeline
+The algorithm is a registered adapter over the single run pipeline
 (:mod:`repro.core.runner`), launched as
-``run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=c))`` or
-``run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n, c=c))``.
+``run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=c))``; a
+``PhantomSet(n, dim)`` in ``particles`` runs it in modeled mode.
 """
 
 from __future__ import annotations
 
 from repro.core.ca_step import CAConfig, ca_program
-from repro.core.decomposition import (
-    collect_leader_forces,
-    team_blocks_even,
-    virtual_team_blocks,
-)
-from repro.core.runner import Prepared, RunSpec, register_algorithm
+from repro.core.runner import Prepared, RunSpec, register_algorithm, team_setup
 from repro.core.window import all_pairs_schedule
-from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.simmpi.engine import RunResult
 from repro.simmpi.topology import ReplicatedGrid
 
 __all__ = ["allpairs_config"]
@@ -48,9 +41,9 @@ def allpairs_config(p: int, c: int, *, layout: str = "rows") -> CAConfig:
     summary="Algorithm 1: CA all-pairs with replication factor c",
 )
 def _prepare_allpairs(spec: RunSpec) -> Prepared:
-    """All-pairs forces, functional end to end.
+    """All-pairs forces over real or phantom particles.
 
-    The particle set is divided evenly among team leaders, every rank runs
+    The workload is divided evenly among team leaders, every rank runs
     :func:`~repro.core.ca_step.ca_interaction_step`, and the per-team
     leader forces are collected and ordered by particle id.  With a
     :class:`~repro.simmpi.faults.FaultSchedule` the resilient step variant
@@ -59,32 +52,9 @@ def _prepare_allpairs(spec: RunSpec) -> Prepared:
     team's acting leader.
     """
     cfg = allpairs_config(spec.machine.nranks, spec.c, layout=spec.layout)
-    kernel = kernel_for(spec.law, pair_counter=spec.pair_counter,
-                        scratch=spec.scratch, metrics=spec.metrics)
-    blocks = team_blocks_even(spec.workload(), cfg.grid.nteams)
-
-    def collect(run: RunResult):
-        return collect_leader_forces(run.results, cfg.grid,
-                                     dead=frozenset(run.deaths))
-
+    _, blocks, kernel, collect = team_setup(spec, cfg)
     return Prepared(
         program=ca_program(cfg, kernel, blocks,
                            resilient=spec.faults is not None),
         collect=collect,
     )
-
-
-@register_algorithm(
-    "allpairs_virtual",
-    functional=False,
-    fault_mode="kills",
-    summary="Modeled CA all-pairs: phantom blocks, machine-model timing",
-)
-def _prepare_allpairs_virtual(spec: RunSpec) -> Prepared:
-    """Phantom particles, real communication structure, machine-model
-    timing; the trace report carries the per-phase breakdown."""
-    cfg = allpairs_config(spec.machine.nranks, spec.c, layout=spec.layout)
-    kernel = VirtualKernel(dim=2 if spec.dim is None else spec.dim)
-    blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
-    return Prepared(program=ca_program(cfg, kernel, blocks,
-                                       resilient=spec.faults is not None))

@@ -9,30 +9,23 @@ window's ring arithmetic wraps across the (reflective, non-periodic) box
 boundary.  That pruning is what creates the boundary load imbalance the
 paper reports for its cutoff experiments.
 
-Both variants are registered adapters over the single run pipeline
+The algorithm is a registered adapter over the single run pipeline
 (:mod:`repro.core.runner`), launched as ``run(RunSpec(machine=m,
-algorithm="cutoff", particles=ps, c=c, rcut=r, box_length=L))`` (or
-``algorithm="cutoff_virtual"`` with ``n=`` instead of ``particles=``).
+algorithm="cutoff", particles=ps, c=c, rcut=r, box_length=L))``; a
+``PhantomSet(n, dim)`` in ``particles`` runs it in modeled mode.
 """
 
 from __future__ import annotations
 
 from repro.core.ca_step import CAConfig, ca_program
-from repro.core.decomposition import (
-    collect_leader_forces,
-    team_blocks_spatial,
-    virtual_team_blocks,
-)
-from repro.core.runner import Prepared, RunSpec, register_algorithm
+from repro.core.runner import Prepared, RunSpec, register_algorithm, team_setup
 from repro.core.window import cutoff_schedule
 from repro.machines.torus import balanced_dims
 from repro.physics.domain import TeamGeometry
-from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.simmpi.engine import RunResult
 from repro.simmpi.topology import ReplicatedGrid
 from repro.util import require
 
-__all__ = ["cutoff_config"]
+__all__ = ["cutoff_config", "cutoff_config_for"]
 
 
 def cutoff_config(
@@ -85,6 +78,25 @@ def cutoff_config(
     return CAConfig(grid=grid, schedule=schedule, rcut=rcut, geometry=geometry)
 
 
+def cutoff_config_for(spec: RunSpec) -> CAConfig:
+    """:func:`cutoff_config` for a run spec, without building the workload.
+
+    The team grid has ``spec.dim`` axes, or as many as the workload's
+    particles (real or phantom) when ``spec.dim`` is unset; it may not
+    have more.
+    """
+    pdim = spec.particles.dim if spec.particles is not None else spec.dim or 2
+    dim = spec.dim or pdim
+    require(dim <= pdim,
+            f"team-grid dim={dim} exceeds particle dimension {pdim} "
+            "(slab/pencil decompositions use dim < particle dimension)")
+    return cutoff_config(
+        spec.machine.nranks, spec.c, rcut=spec.rcut,
+        box_length=spec.box_length, dim=dim, team_dims=spec.team_dims,
+        periodic=spec.periodic, geometry=spec.geometry,
+    )
+
+
 @register_algorithm(
     "cutoff",
     fault_mode="kills",
@@ -92,60 +104,19 @@ def cutoff_config(
     summary="Algorithm 2: CA cutoff interactions on a spatial team grid",
 )
 def _prepare_cutoff(spec: RunSpec) -> Prepared:
-    """Cutoff-limited forces, functional end to end.
+    """Cutoff-limited forces over real or phantom particles.
 
     The force law's cutoff is forced to ``spec.rcut`` (pairs beyond it
-    contribute exactly zero).  Particles are spatially binned to team
-    leaders; forces come back ordered by particle id.  With a
+    contribute exactly zero).  Real particles are spatially binned to
+    team leaders and their forces come back ordered by particle id;
+    phantom particles are split evenly.  With a
     :class:`~repro.simmpi.faults.FaultSchedule` the resilient step runs
     and deaths are absorbed via replication-aware recovery (``c >= 2``).
     """
-    particles = spec.workload()
-    dim = particles.dim if spec.dim is None else spec.dim
-    require(dim <= particles.dim,
-            f"team-grid dim={dim} exceeds particle dimension {particles.dim} "
-            "(slab/pencil decompositions use dim < particle dimension)")
-    cfg = cutoff_config(
-        spec.machine.nranks, spec.c, rcut=spec.rcut,
-        box_length=spec.box_length, dim=dim, team_dims=spec.team_dims,
-        periodic=spec.periodic, geometry=spec.geometry,
-    )
-    kernel = kernel_for(
-        spec.law, rcut=spec.rcut,
-        box=spec.box_length if spec.periodic else None,
-        pair_counter=spec.pair_counter, scratch=spec.scratch,
-        metrics=spec.metrics,
-    )
-    blocks = team_blocks_spatial(particles, cfg.geometry)
-
-    def collect(run: RunResult):
-        return collect_leader_forces(run.results, cfg.grid,
-                                     dead=frozenset(run.deaths))
-
+    cfg = cutoff_config_for(spec)
+    _, blocks, kernel, collect = team_setup(spec, cfg)
     return Prepared(
         program=ca_program(cfg, kernel, blocks,
                            resilient=spec.faults is not None),
         collect=collect,
     )
-
-
-@register_algorithm(
-    "cutoff_virtual",
-    functional=False,
-    fault_mode="kills",
-    needs_rcut=True,
-    summary="Modeled CA cutoff: phantom blocks, machine-model timing",
-)
-def _prepare_cutoff_virtual(spec: RunSpec) -> Prepared:
-    """Phantom uniform particle blocks (team grid ``dim`` defaults to 1),
-    real communication structure, machine-model timing."""
-    dim = 1 if spec.dim is None else spec.dim
-    cfg = cutoff_config(
-        spec.machine.nranks, spec.c, rcut=spec.rcut,
-        box_length=spec.box_length, dim=dim, team_dims=spec.team_dims,
-        periodic=spec.periodic,
-    )
-    kernel = VirtualKernel(dim=dim)
-    blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
-    return Prepared(program=ca_program(cfg, kernel, blocks,
-                                       resilient=spec.faults is not None))

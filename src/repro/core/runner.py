@@ -2,8 +2,7 @@
 
 Every single-step interaction algorithm in :mod:`repro.core` — the CA
 all-pairs and cutoff algorithms, the symmetric variant, the midpoint
-method, the four baselines, and their modeled (virtual) twins — plugs into
-one orchestration pipeline:
+method and the four baselines — plugs into one orchestration pipeline:
 
 1. **validate** — a :class:`RunSpec` is checked against the registered
    algorithm's declared capabilities (replication support, cutoff
@@ -16,6 +15,11 @@ one orchestration pipeline:
    uniformly) and runs the program;
 4. **collect** — leader forces are gathered and ordered by particle id
    into a uniform :class:`Run` result.
+
+Modeled runs are a workload, not an algorithm: a
+:class:`~repro.physics.particles.PhantomSet` in ``RunSpec.particles`` makes
+``allpairs``, ``cutoff`` and ``symmetric`` run on phantom blocks (see
+:func:`team_setup`); every other adapter rejects it.
 
 Because the engine construction and the kernel options live in the
 pipeline, every registered algorithm accepts a
@@ -37,9 +41,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.ca_step import check_fault_replication
+from repro.core.ca_step import CAConfig, check_fault_replication
+from repro.core.decomposition import (
+    collect_leader_forces,
+    team_blocks_even,
+    team_blocks_spatial,
+    virtual_team_blocks,
+)
 from repro.physics.forces import ForceLaw
-from repro.physics.particles import ParticleSet
+from repro.physics.kernels import VirtualKernel, kernel_for
+from repro.physics.particles import ParticleSet, PhantomSet
 from repro.simmpi.engine import Engine, RunResult
 from repro.simmpi.faults import FaultSchedule
 from repro.util import require
@@ -54,6 +65,7 @@ __all__ = [
     "list_algorithms",
     "register_algorithm",
     "run",
+    "team_setup",
 ]
 
 
@@ -73,12 +85,13 @@ class RunSpec:
     algorithm:
         Registry name (see :func:`list_algorithms`).
     particles:
-        The workload for functional algorithms.  May be omitted if ``n``
-        (+ ``seed``) is given — then a uniform random workload is drawn.
+        The workload: a :class:`~repro.physics.particles.ParticleSet`, or
+        a :class:`~repro.physics.particles.PhantomSet` for a modeled run
+        (``allpairs``, ``cutoff`` and ``symmetric`` only).  May be omitted
+        if ``n`` (+ ``seed``) is given — then a uniform random workload is
+        drawn.
     n:
-        Particle count: the workload size for modeled (virtual)
-        algorithms, or the size of the synthesized workload when
-        ``particles`` is omitted.
+        Size of the synthesized workload when ``particles`` is omitted.
     c:
         Replication factor for the CA family (ignored by baselines, which
         require ``c = 1``).
@@ -125,7 +138,7 @@ class RunSpec:
     engine_tier:
         Which simulator executes the run.  ``"event"`` (default): the
         exact generator-coroutine engine — required for faults, schedule
-        perturbation, pair coverage and functional force output.
+        perturbation, pair coverage and force output.
         ``"heuristic"``: the vectorized phase-advance tier
         (:mod:`repro.simmpi.fastsim`) — same ``RunResult`` schema with
         bit-exact per-rank/per-phase traffic but approximate clocks and
@@ -137,7 +150,7 @@ class RunSpec:
 
     machine: Any
     algorithm: str
-    particles: ParticleSet | None = None
+    particles: ParticleSet | PhantomSet | None = None
     n: int | None = None
     c: int = 1
     hyper_k: int | None = None
@@ -161,7 +174,13 @@ class RunSpec:
     seed: int | None = None
 
     def workload(self) -> ParticleSet:
-        """The functional particle workload (synthesized if not given)."""
+        """The real particle workload (synthesized if not given);
+        ``ValueError`` for a phantom one (see :func:`team_setup`)."""
+        if isinstance(self.particles, PhantomSet):
+            raise ValueError(
+                f"algorithm {self.algorithm!r} has no phantom mode; pass a "
+                "ParticleSet (phantom workloads run on allpairs, cutoff and "
+                "symmetric)")
         if self.particles is not None:
             return self.particles
         require(self.n is not None,
@@ -174,7 +193,7 @@ class RunSpec:
         )
 
     def count(self) -> int:
-        """The workload size (for modeled runs: block-size accounting)."""
+        """The workload size, without synthesizing the workload."""
         if self.n is not None:
             return self.n
         require(self.particles is not None,
@@ -196,9 +215,9 @@ class RunSpec:
 class Run:
     """Uniform outcome of one pipeline run — every algorithm returns this.
 
-    Functional algorithms carry globally id-ordered ``ids``/``forces``;
-    modeled (virtual) algorithms carry ``None`` for both and are consumed
-    through :attr:`report`/:attr:`run`.
+    Real workloads carry globally id-ordered ``ids``/``forces``; phantom
+    workloads and the heuristic tier carry ``None`` for both and are
+    consumed through :attr:`report`/:attr:`run`.
     """
 
     #: Registry name of the algorithm that produced this result.
@@ -235,7 +254,7 @@ class Run:
 @dataclass
 class Prepared:
     """What an algorithm adapter hands the pipeline: the rank program and
-    (for functional algorithms) the force-collection strategy."""
+    (for real workloads) the force-collection strategy."""
 
     #: ``program(comm)`` generator factory for the engine.
     program: Callable
@@ -250,8 +269,6 @@ class Algorithm:
     name: str
     #: ``prepare(spec) -> Prepared``.
     prepare: Callable
-    #: Moves real particle data (vs a modeled/virtual twin).
-    functional: bool = True
     #: Has a replication knob ``c`` (baselines run at an implicit c=1).
     supports_c: bool = True
     #: ``"kills"`` — replication-aware recovery absorbs rank deaths;
@@ -271,7 +288,6 @@ _REGISTRY: dict[str, Algorithm] = {}
 def register_algorithm(
     name: str,
     *,
-    functional: bool = True,
     supports_c: bool = True,
     fault_mode: str = "transient",
     needs_rcut: bool = False,
@@ -286,9 +302,9 @@ def register_algorithm(
         if name in _REGISTRY:
             raise ValueError(f"algorithm {name!r} registered twice")
         _REGISTRY[name] = Algorithm(
-            name=name, prepare=prepare, functional=functional,
-            supports_c=supports_c, fault_mode=fault_mode,
-            needs_rcut=needs_rcut, square_p=square_p, summary=summary,
+            name=name, prepare=prepare, supports_c=supports_c,
+            fault_mode=fault_mode, needs_rcut=needs_rcut, square_p=square_p,
+            summary=summary,
         )
         return prepare
 
@@ -315,13 +331,43 @@ def get_algorithm(name: str) -> Algorithm:
         raise KeyError(f"unknown algorithm {name!r} (known: {known})") from None
 
 
-def list_algorithms(*, functional: bool | None = None) -> list[str]:
-    """Registered algorithm names, sorted; optionally filtered by kind."""
+def list_algorithms() -> list[str]:
+    """Registered algorithm names, sorted."""
     _load_builtins()
-    return sorted(
-        name for name, alg in _REGISTRY.items()
-        if functional is None or alg.functional == functional
-    )
+    return sorted(_REGISTRY)
+
+
+def team_setup(spec: RunSpec, cfg: CAConfig) -> tuple:
+    """``(workload, blocks, kernel, collect)`` for a CA-family run.
+
+    The one place a phantom workload is told apart from a real one.  A
+    :class:`~repro.physics.particles.PhantomSet` gets even-split phantom
+    blocks, a :class:`~repro.physics.kernels.VirtualKernel` of its ``dim``
+    and ``collect=None``.  Real particles are split evenly (or binned into
+    ``cfg.geometry``'s regions) and get :func:`~repro.physics.kernels.
+    kernel_for` with ``cfg.rcut`` (and, when periodic, the box) plus a
+    collect that orders the leaders' forces by particle id.
+    """
+    nteams = cfg.grid.nteams
+    if isinstance(spec.particles, PhantomSet):
+        phantom = spec.particles
+        return (phantom, virtual_team_blocks(phantom.n, nteams),
+                VirtualKernel(dim=phantom.dim), None)
+    particles = spec.workload()
+    if cfg.geometry is None:
+        blocks = team_blocks_even(particles, nteams)
+    else:
+        blocks = team_blocks_spatial(particles, cfg.geometry)
+    box = spec.box_length if spec.periodic and cfg.rcut else None
+    kernel = kernel_for(spec.law, rcut=cfg.rcut, box=box,
+                        pair_counter=spec.pair_counter, scratch=spec.scratch,
+                        metrics=spec.metrics)
+
+    def collect(run: RunResult):
+        return collect_leader_forces(run.results, cfg.grid,
+                                     dead=frozenset(run.deaths))
+
+    return particles, blocks, kernel, collect
 
 
 def fault_compat(alg: Algorithm, faults, c: int = 1) -> str | None:

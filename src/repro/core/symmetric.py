@@ -26,15 +26,8 @@ from __future__ import annotations
 
 from repro.core.ca_step import CAConfig
 from repro.core.commsched import rounds_for_schedule, scheduled_step
-from repro.core.decomposition import (
-    collect_leader_forces,
-    team_blocks_even,
-    virtual_team_blocks,
-)
-from repro.core.runner import Prepared, RunSpec, register_algorithm
+from repro.core.runner import Prepared, RunSpec, register_algorithm, team_setup
 from repro.core.window import half_ring_schedule
-from repro.physics.kernels import VirtualKernel, kernel_for
-from repro.simmpi.engine import RunResult
 from repro.simmpi.topology import ReplicatedGrid
 
 __all__ = ["ca_symmetric_step", "symmetric_config"]
@@ -80,24 +73,6 @@ def _symmetric_program(cfg: CAConfig, kernel, blocks):
 )
 def _prepare_symmetric(spec: RunSpec) -> Prepared:
     cfg = symmetric_config(spec.machine.nranks, spec.c)
-    kernel = kernel_for(spec.law, pair_counter=spec.pair_counter,
-                        scratch=spec.scratch, metrics=spec.metrics)
-    blocks = team_blocks_even(spec.workload(), cfg.grid.nteams)
-
-    def collect(run: RunResult):
-        return collect_leader_forces(run.results, cfg.grid)
-
+    _, blocks, kernel, collect = team_setup(spec, cfg)
     return Prepared(program=_symmetric_program(cfg, kernel, blocks),
                     collect=collect)
-
-
-@register_algorithm(
-    "symmetric_virtual",
-    functional=False,
-    summary="Modeled symmetric variant: phantom blocks, half-ring schedule",
-)
-def _prepare_symmetric_virtual(spec: RunSpec) -> Prepared:
-    cfg = symmetric_config(spec.machine.nranks, spec.c)
-    kernel = VirtualKernel(dim=2 if spec.dim is None else spec.dim)
-    blocks = virtual_team_blocks(spec.count(), cfg.grid.nteams)
-    return Prepared(program=_symmetric_program(cfg, kernel, blocks))

@@ -4,8 +4,8 @@ The paper leaves open "the question of how to select the replication factor
 c, which ... can be autotuned at runtime by trying multiple factors".  This
 module implements that future-work item: it enumerates the feasible
 replication factors for a machine/problem, measures each with a cheap
-modeled (virtual) step — or a user-supplied measurement function — and
-ranks them.
+step over a phantom workload — or a user-supplied measurement function —
+and ranks them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.runner import RunSpec, run
+from repro.physics.particles import PhantomSet
 from repro.util import require
 
 __all__ = ["TuningResult", "autotune_c", "candidate_cs"]
@@ -76,11 +77,11 @@ def autotune_c(
 ) -> TuningResult:
     """Measure every candidate ``c`` and rank them (fastest first).
 
-    By default each candidate is timed with one modeled (virtual) CA step
-    on ``machine`` — all-pairs when ``rcut`` is ``None``, cutoff otherwise
-    (``box_length`` required).  Pass ``measure`` to time candidates some
-    other way (e.g. a functional run); it receives ``c`` and returns
-    seconds.
+    By default each candidate is timed with one CA step over a
+    ``PhantomSet(n, dim)`` on ``machine`` — all-pairs when ``rcut`` is
+    ``None``, cutoff otherwise (``box_length`` required).  Pass ``measure``
+    to time candidates some other way (e.g. a run over real particles); it
+    receives ``c`` and returns seconds.
     """
     p = machine.nranks
     if candidates is None:
@@ -90,12 +91,11 @@ def autotune_c(
         require(p % c == 0, f"candidate c={c} does not divide p={p}")
 
     if measure is None:
-        spec = dict(machine=machine, algorithm="allpairs_virtual", n=n,
-                    dim=dim)
+        spec = dict(machine=machine, algorithm="allpairs",
+                    particles=PhantomSet(n, dim))
         if rcut is not None:
             require(box_length is not None, "cutoff tuning needs box_length")
-            spec.update(algorithm="cutoff_virtual", rcut=rcut,
-                        box_length=box_length)
+            spec.update(algorithm="cutoff", rcut=rcut, box_length=box_length)
 
         def measure(c: int) -> float:
             return run(RunSpec(c=c, **spec)).elapsed

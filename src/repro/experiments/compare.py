@@ -1,6 +1,6 @@
 """Cross-algorithm comparison harness over the registry pipeline.
 
-Every registered functional algorithm runs the *same* workload on the same
+Every registered algorithm runs the *same* workload on the same
 machine through :func:`repro.core.runner.run`, and the harness tabulates
 what the paper's evaluation compares: per-phase virtual times, per-rank
 message and byte maxima (the latency cost ``S`` and bandwidth cost ``W``),
@@ -152,7 +152,7 @@ def compare_algorithms(
 ) -> ComparisonResult:
     """Run registered algorithms on one shared configuration and compare.
 
-    ``algorithms`` defaults to every registered *functional* algorithm;
+    ``algorithms`` defaults to every registered algorithm;
     remaining keyword arguments populate the shared
     :class:`~repro.core.runner.RunSpec` (``c``, ``law``, ``rcut``, ``n``,
     ``seed``, ``faults``, ``engine_opts``, ``engine_tier``, ...).  The
@@ -190,8 +190,7 @@ def compare_algorithms(
     from repro.core.parallel import cached_map, values_or_raise
     from repro.core.runcache import resolve_cache
 
-    names = (list(algorithms) if algorithms is not None
-             else list_algorithms(functional=True))
+    names = list(algorithms) if algorithms is not None else list_algorithms()
     base = RunSpec(machine=machine, algorithm="", particles=particles,
                    **spec_kwargs)
     workload = base.workload()
@@ -208,9 +207,6 @@ def compare_algorithms(
 
     for name in names:
         alg = get_algorithm(name)
-        if not alg.functional:
-            skipped[name] = "modeled (virtual) algorithm; no forces to compare"
-            continue
         if alg.needs_rcut and base.rcut is None:
             skipped[name] = "needs a cutoff radius (pass rcut=...)"
             continue

@@ -30,6 +30,7 @@ from repro.model import (
     cutoff_breakdown,
     cutoff_efficiency,
 )
+from repro.physics.particles import PhantomSet
 
 __all__ = ["FigureResult", "run_figure", "validate_figure"]
 
@@ -151,8 +152,8 @@ def validate_figure(
         if p % c:
             continue
         if not cfg.cutoff:
-            out = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                              n=n, c=c, dim=cfg.dim))
+            out = run(RunSpec(machine=machine, algorithm="allpairs",
+                              particles=PhantomSet(n, cfg.dim), c=c))
             res.breakdowns[f"c={c}"] = PhaseBreakdown.from_report(
                 out.report, ("bcast", "shift", "compute", "reduce")
             )

@@ -6,8 +6,8 @@ order, so any interleaving the cooperative scheduler could legally choose
 must produce bitwise-identical physics and identical traffic.  This
 harness turns that promise into a fuzzable, replayable contract.
 
-For every registered algorithm (functional *and* modeled), one **FIFO
-baseline** run is taken at the metrics-lock configuration, then ``N``
+For every registered algorithm and every :data:`PHANTOM_UNITS` entry, one
+**FIFO baseline** run is taken at the metrics-lock configuration, then ``N``
 perturbed runs execute under derived
 :class:`~repro.simmpi.schedule.SchedulePolicy` seeds (a deterministic
 mix of ``random:SEED`` and ``adversarial:SEED`` policies).  Each explored
@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.runner import RunSpec, get_algorithm, list_algorithms, run
+from repro.physics.particles import PhantomSet
 
 __all__ = ["SchedFuzzCheck", "SchedFuzzReport", "derive_schedule",
            "run_schedfuzz"]
@@ -53,6 +54,15 @@ __all__ = ["SchedFuzzCheck", "SchedFuzzReport", "derive_schedule",
 #: (``tools/metrics_gate.py``), so measured comm volumes can be checked
 #: against the committed lock as well as against the FIFO baseline.
 PINNED = {"p": 16, "n": 64, "c": 2, "rcut": 0.3, "seed": 0}
+
+#: Fuzz units that run a CA algorithm over ``PhantomSet(n, dim)`` instead
+#: of real particles: unit name -> (algorithm, phantom dim).  The names are
+#: the metrics lock's extra cases for the same runs.
+PHANTOM_UNITS = {
+    "allpairs_phantom": ("allpairs", 2),
+    "cutoff_phantom": ("cutoff", 1),
+    "symmetric_phantom": ("symmetric", 2),
+}
 
 _LOCK_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / \
     "METRICS_LOCK.json"
@@ -137,12 +147,15 @@ class SchedFuzzReport:
         return "\n".join(lines)
 
 
-def _spec(machine_cls, name: str, config: dict, schedule=None) -> RunSpec:
-    """A registry-respecting RunSpec at the pinned configuration."""
+def _spec(machine_cls, unit: str, config: dict, schedule=None) -> RunSpec:
+    """A registry-respecting RunSpec for fuzz ``unit`` at ``config``."""
+    name, phantom_dim = PHANTOM_UNITS.get(unit, (unit, None))
     alg = get_algorithm(name)
     return RunSpec(
         machine=machine_cls(nranks=config["p"]),
         algorithm=name,
+        particles=(None if phantom_dim is None
+                   else PhantomSet(config["n"], phantom_dim)),
         n=config["n"],
         c=config["c"] if alg.supports_c else 1,
         rcut=config["rcut"] if alg.needs_rcut else None,
@@ -230,14 +243,18 @@ def _diff_signatures(base: dict, got: dict) -> str | None:
 
 def _check_lock(name: str, volume: dict, config: dict,
                 lock_path) -> str | None:
-    """Baseline comm volume vs the committed metrics lock (when pinned)."""
+    """Baseline comm volume vs the committed metrics lock (when pinned);
+    phantom units are locked as the metrics gate's extra cases."""
     path = Path(lock_path) if lock_path is not None else _LOCK_PATH
     if not path.exists():
         return None
     lock = json.loads(path.read_text())
-    if lock.get("config") != config or name not in lock.get("algorithms", {}):
+    if lock.get("config") != config:
         return None
-    locked = lock["algorithms"][name]
+    locked = (lock.get("algorithms", {}).get(name)
+              or lock.get("extra_cases", {}).get(name, {}).get("volumes"))
+    if locked is None:
+        return None
     for key, want in locked.items():
         if volume.get(key) != want:
             return (f"baseline {key}={volume.get(key)} != locked {want} "
@@ -349,7 +366,8 @@ def run_schedfuzz(
 ) -> SchedFuzzReport:
     """Fuzz ``schedules`` interleavings per algorithm; see module docstring.
 
-    ``algorithms`` defaults to the whole registry.  ``first_schedule``
+    ``algorithms`` defaults to the whole registry plus
+    :data:`PHANTOM_UNITS`.  ``first_schedule``
     offsets the explored indices (schedule ``i`` is a pure function of
     ``(seed, i)``), so one failing schedule replays alone.  ``config``
     overrides the pinned ``{p, n, c, rcut, seed}`` measurement point
@@ -376,7 +394,8 @@ def run_schedfuzz(
 
     cfg = dict(PINNED if config is None else config)
     report = SchedFuzzReport(seed=seed, schedules=schedules, config=cfg)
-    names = list(algorithms) if algorithms is not None else list_algorithms()
+    names = (list(algorithms) if algorithms is not None
+             else sorted([*list_algorithms(), *PHANTOM_UNITS]))
     artifact_dir = out_dir or tempfile.mkdtemp(prefix="schedfuzz-")
     deadline = (None if time_budget is None
                 else time.monotonic() + time_budget)

@@ -27,6 +27,8 @@ stale entries miss instead of mis-decoding.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from repro.core.parallel import (
@@ -48,10 +50,31 @@ __all__ = [
 #: Cache namespace — versions the result-record schema (see module doc).
 SWEEP_NAMESPACE = "sweep-v1"
 
+
+def _coerce(name: str, value, kind: type):
+    """``kind(value)`` for one descriptor field, or ``ValueError``: strings
+    parse; numbers must be non-bool, finite and (``int``) integral."""
+    ok = isinstance(value, str) or (
+        kind is not str and isinstance(value, numbers.Real)
+        and not isinstance(value, bool))
+    if ok:
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):
+            ok = False
+        else:
+            ok = kind is str or (math.isfinite(out) and (
+                kind is float or isinstance(value, str) or out == value))
+    if not ok:
+        raise ValueError(f"descriptor field {name!r} must be "
+                         f"{kind.__name__}, got {value!r:.80}")
+    return out
+
+
 #: Descriptor fields, their defaults, and their normalizers.  ``None``
 #: defaults stay ``None`` (optional knobs); everything else is coerced so
 #: equivalent spellings (``16`` vs ``16.0`` vs ``"16"``) fingerprint
-#: identically.
+#: identically, and anything else raises ``ValueError``.
 _FIELDS: dict = {
     "algorithm": (None, str),
     "machine": ("generic", str),
@@ -72,21 +95,38 @@ def normalize_task(desc: dict) -> dict:
     """Canonical form of a sweep descriptor: defaults filled, types fixed.
 
     Unknown keys and a missing ``algorithm`` are rejected loudly (a typo
-    must not silently fingerprint as a different run).  The result is a
-    plain dict in fixed field order, safe to JSON-roundtrip — quarantine
-    replay feeds these back in unchanged.
+    must not silently fingerprint as a different run).  As the
+    ``repro serve`` trust boundary it raises ``ValueError`` (HTTP 400),
+    never another exception, for a malformed value (:func:`_coerce`),
+    ``null`` where a field has a default and ``p``/``n``/``c`` below 1;
+    unknown algorithm *names* pass.  The result is a plain dict in fixed
+    field order, safe to JSON-roundtrip — quarantine replay feeds these
+    back in unchanged.
     """
+    if not isinstance(desc, dict):
+        raise ValueError(f"sweep descriptor must be an object, "
+                         f"got {desc!r:.80}")
     unknown = sorted(set(desc) - set(_FIELDS))
     if unknown:
         raise ValueError(
             f"unknown sweep descriptor keys {unknown} "
             f"(known: {sorted(_FIELDS)})")
     out: dict = {}
-    for name, (default, coerce) in _FIELDS.items():
+    for name, (default, kind) in _FIELDS.items():
         value = desc.get(name, default)
-        out[name] = None if value is None else coerce(value)
+        if value is None:
+            if default is not None:
+                raise ValueError(f"descriptor field {name!r} may not be null")
+        elif type(value) is not kind or (
+                kind is float and not math.isfinite(value)):
+            value = _coerce(name, value, kind)
+        out[name] = value
     if not out["algorithm"]:
         raise ValueError(f"sweep descriptor needs an 'algorithm': {desc!r}")
+    for name in ("p", "n", "c"):
+        if out[name] < 1:
+            raise ValueError(f"descriptor field {name!r} must be >= 1, "
+                             f"got {out[name]}")
     if out["machine"] not in _MACHINES:
         raise ValueError(f"unknown machine {out['machine']!r} "
                          f"(known: {list(_MACHINES)})")
@@ -110,20 +150,26 @@ def task_fingerprint(desc: dict) -> str:
 
 
 def _build_machine(name: str, p: int):
-    """Instantiate the named machine model at ``p`` ranks."""
-    from repro.machines import GenericMachine, GenericTorus, Hopper, Intrepid
+    """Instantiate the named machine model at ``p`` ranks (Hopper and
+    Intrepid with :func:`~repro.machines.node_cores`-sized nodes)."""
+    from repro.machines import (
+        GenericMachine, GenericTorus, Hopper, Intrepid, node_cores,
+    )
 
-    factory = {"generic": GenericMachine, "torus": GenericTorus,
-               "hopper": Hopper, "intrepid": Intrepid}[name]
-    return factory(p)
+    if name == "generic":
+        return GenericMachine(p)
+    if name == "torus":
+        return GenericTorus(p)
+    factory = {"hopper": Hopper, "intrepid": Intrepid}[name]
+    return factory(p, cores_per_node=node_cores(name, p))
 
 
 def sweep_task(desc: dict) -> dict:
     """Run one sweep point — the (pure) parallel work unit.
 
     Returns the self-contained result record: comm-volume/makespan
-    scalars plus the force/id arrays as raw bytes (``None`` for modeled
-    or heuristic-tier runs, which compute no forces).  A pure function
+    scalars plus the force/id arrays as raw bytes (``None`` for
+    heuristic-tier runs, which compute no forces).  A pure function
     of the normalized descriptor, which is what makes the run cache and
     the service's single-flight coalescing sound — the record is
     bitwise-identical however and wherever it is recomputed.  Shared

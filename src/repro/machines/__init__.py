@@ -30,4 +30,19 @@ __all__ = [
     "Torus",
     "TorusMachine",
     "balanced_dims",
+    "node_cores",
 ]
+
+#: Node sizes per machine model, largest (the model's own) first.
+_NODE_SIZES = {
+    "hopper": (HOPPER_CORES_PER_NODE, 12, 8, 6, 4, 2, 1),
+    "intrepid": (INTREPID_CORES_PER_NODE, 1),
+}
+
+
+def node_cores(name: str, p: int) -> int:
+    """The largest node size of machine model ``name`` (Hopper 24..1,
+    Intrepid and any other torus 4 or 1) that ``p`` ranks fill exactly,
+    so every positive rank count builds."""
+    sizes = _NODE_SIZES.get(name, (4, 1))
+    return next(c for c in sizes if p % c == 0)

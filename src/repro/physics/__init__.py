@@ -30,6 +30,7 @@ from repro.physics.kernels import RealKernel, VirtualForces, VirtualKernel
 from repro.physics.particles import (
     HomeBlock,
     ParticleSet,
+    PhantomSet,
     TravelBlock,
     VirtualBlock,
     concat_sets,
@@ -48,6 +49,7 @@ __all__ = [
     "ForceLaw",
     "HomeBlock",
     "ParticleSet",
+    "PhantomSet",
     "RealKernel",
     "SnapshotError",
     "TeamGeometry",

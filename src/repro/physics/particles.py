@@ -17,7 +17,8 @@ authoritative since message volume is what the model cares about.)
 
 The :class:`VirtualBlock` twin carries only a particle *count*; it lets the
 same algorithm code run in "modeled" mode at the paper's 24K-core scales
-where materializing real particle data per rank would be pointless.
+where materializing real particle data per rank would be pointless;
+``RunSpec(particles=PhantomSet(n, dim))`` selects that mode.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.util import default_rng, require
 __all__ = [
     "HomeBlock",
     "ParticleSet",
+    "PhantomSet",
     "TravelBlock",
     "VirtualBlock",
     "concat_sets",
@@ -216,3 +218,24 @@ class VirtualBlock:
     @property
     def wire_nbytes(self) -> int:
         return (PARTICLE_BYTES + self.extra_bytes) * self.count
+
+
+@dataclass(frozen=True)
+class PhantomSet:
+    """A workload of ``n`` phantom particles in ``dim`` dimensions.
+
+    As ``RunSpec(particles=...)`` it runs ``allpairs``, ``cutoff`` or
+    ``symmetric`` over :class:`VirtualBlock` s: same traffic, modeled
+    timing, no forces.  ``dim`` sizes force payloads and, unless
+    ``RunSpec.dim`` is set, ``cutoff``'s team grid.
+    """
+
+    n: int
+    dim: int = 2
+
+    def __post_init__(self):
+        require(self.n >= 0, f"phantom count must be >= 0, got {self.n}")
+        require(self.dim >= 1, f"phantom dim must be >= 1, got {self.dim}")
+
+    def __len__(self) -> int:
+        return self.n

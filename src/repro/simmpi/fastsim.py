@@ -28,9 +28,9 @@ Contract with the event engine
   the tests), not bit for bit.
 * **The op histogram is approximate** (send/recv/wait counts follow the
   round structure; collectives count one wait per request).
-* **No functional output.**  The heuristic tier moves no particle data:
-  the returned :class:`~repro.core.runner.Run` carries ``ids = forces =
-  None``, like the modeled (virtual) algorithms.
+* **No force output.**  The heuristic tier moves no particle data: the
+  returned :class:`~repro.core.runner.Run` carries ``ids = forces =
+  None``, like an event-tier run over a phantom workload.
 
 Anything the analytic replay cannot honor — fault schedules, scheduler
 perturbation, pair-coverage instrumentation, engine options — is refused
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -282,11 +283,12 @@ def _even_counts(n: int, k: int) -> np.ndarray:
 
 
 def _workload_info(spec) -> tuple[int, int]:
-    """(particle count, particle dimension) of the functional workload
-    without synthesizing it when only sizes are needed."""
-    if spec.particles is not None:
-        return len(spec.particles), spec.particles.dim
-    return spec.count(), 2 if spec.dim is None else spec.dim
+    """(particle count, particle dimension) of the real workload without
+    synthesizing it when only sizes are needed."""
+    if spec.particles is None:
+        return spec.count(), 2 if spec.dim is None else spec.dim
+    particles = spec.workload()
+    return len(particles), particles.dim
 
 
 def _collective(sim, label, rel, counts_table, payload_bytes, partner):
@@ -457,71 +459,33 @@ def _replay_commsched(sim, cs, grid, counts, *, fdim, cfg=None):
                     force_wire[geo.col], partner)
 
 
-def _build_ca(sim, spec, *, functional: bool, cutoff: bool) -> None:
-    """Plan for allpairs / cutoff (functional or virtual): replay the
-    same lowered IR :func:`~repro.core.ca_step.ca_interaction_step`
-    executes on the event engine."""
+def _build_ca(sim, spec) -> None:
+    """Plan for allpairs / cutoff / symmetric (real or phantom workload):
+    replay the lowered IR the event tier executes (the half ring for
+    symmetric) over the blocks :func:`~repro.core.runner.team_setup`
+    builds."""
     from repro.core.allpairs import allpairs_config
     from repro.core.commsched import rounds_for_schedule
-    from repro.core.cutoff import cutoff_config
-    from repro.physics.domain import team_of_positions
-    from repro.util import require
+    from repro.core.cutoff import cutoff_config_for
+    from repro.core.runner import team_setup
+    from repro.core.symmetric import symmetric_config
+    from repro.physics.particles import PhantomSet
 
-    machine = spec.machine
-    p = machine.nranks
-    if cutoff:
-        if functional:
-            particles = spec.workload()
-            dim = particles.dim if spec.dim is None else spec.dim
-            require(dim <= particles.dim,
-                    f"team-grid dim={dim} exceeds particle dimension "
-                    f"{particles.dim} (slab/pencil decompositions use "
-                    "dim < particle dimension)")
-            cfg = cutoff_config(
-                p, spec.c, rcut=spec.rcut, box_length=spec.box_length,
-                dim=dim, team_dims=spec.team_dims, periodic=spec.periodic,
-                geometry=spec.geometry,
-            )
-            counts = np.bincount(
-                team_of_positions(particles.pos, cfg.geometry),
-                minlength=cfg.grid.nteams,
-            ).astype(np.int64)
-            fdim = particles.dim
-        else:
-            fdim = 1 if spec.dim is None else spec.dim
-            cfg = cutoff_config(
-                p, spec.c, rcut=spec.rcut, box_length=spec.box_length,
-                dim=fdim, team_dims=spec.team_dims, periodic=spec.periodic,
-            )
-            counts = _even_counts(spec.count(), cfg.grid.nteams)
+    p, name = spec.machine.nranks, spec.algorithm
+    if name == "cutoff":
+        cfg = cutoff_config_for(spec)
+    elif name == "symmetric":
+        cfg = symmetric_config(p, spec.c)
     else:
         cfg = allpairs_config(p, spec.c, layout=spec.layout)
-        if functional:
-            n_total, fdim = _workload_info(spec)
-        else:
-            n_total, fdim = spec.count(), (2 if spec.dim is None else spec.dim)
-        counts = _even_counts(n_total, cfg.grid.nteams)
-
-    _replay_commsched(sim, rounds_for_schedule(cfg.schedule), cfg.grid,
-                      counts, fdim=fdim, cfg=cfg)
-
-
-def _build_symmetric(sim, spec, *, functional: bool) -> None:
-    """Plan for the symmetric variant: replay the half-ring IR (self-half
-    / antipodal-dedup / reaction updates plus the return round) lowered
-    once by :func:`~repro.core.commsched.rounds_for_schedule`."""
-    from repro.core.commsched import rounds_for_schedule
-    from repro.core.symmetric import symmetric_config
-
-    p = spec.machine.nranks
-    cfg = symmetric_config(p, spec.c)
-    if functional:
-        n_total, fdim = _workload_info(spec)
-    else:
-        n_total, fdim = spec.count(), (2 if spec.dim is None else spec.dim)
-    counts = _even_counts(n_total, cfg.grid.nteams)
-    _replay_commsched(sim, rounds_for_schedule(cfg.schedule, symmetric=True),
-                      cfg.grid, counts, fdim=fdim)
+    if spec.particles is None and cfg.geometry is None:
+        # An even split of a workload still to be drawn depends only on
+        # its size: plan the phantom twin (identical traffic, no draw).
+        spec = replace(spec, particles=PhantomSet(*_workload_info(spec)))
+    workload, blocks, _, _ = team_setup(spec, cfg)
+    counts = np.array([len(b) for b in blocks], np.int64)
+    cs = rounds_for_schedule(cfg.schedule, symmetric=name == "symmetric")
+    _replay_commsched(sim, cs, cfg.grid, counts, fdim=workload.dim, cfg=cfg)
 
 
 def _build_systolic(sim, spec, *, variant: str) -> None:
@@ -748,18 +712,9 @@ def _build_midpoint(sim, spec) -> None:
 
 
 _BUILDERS = {
-    "allpairs": lambda sim, spec: _build_ca(
-        sim, spec, functional=True, cutoff=False),
-    "allpairs_virtual": lambda sim, spec: _build_ca(
-        sim, spec, functional=False, cutoff=False),
-    "cutoff": lambda sim, spec: _build_ca(
-        sim, spec, functional=True, cutoff=True),
-    "cutoff_virtual": lambda sim, spec: _build_ca(
-        sim, spec, functional=False, cutoff=True),
-    "symmetric": lambda sim, spec: _build_symmetric(
-        sim, spec, functional=True),
-    "symmetric_virtual": lambda sim, spec: _build_symmetric(
-        sim, spec, functional=False),
+    "allpairs": _build_ca,
+    "cutoff": _build_ca,
+    "symmetric": _build_ca,
     "systolic_ring": lambda sim, spec: _build_systolic(
         sim, spec, variant="ring"),
     "half_systolic": lambda sim, spec: _build_systolic(
@@ -824,10 +779,11 @@ def run_heuristic(spec, alg=None):
     None``).  Metrics, when a registry is attached to the spec, are
     recorded through the same :func:`~repro.metrics.collect.
     record_engine_run` projection as the event engine, including the
-    ``kernel.pairs`` flop proxy for functional algorithms.
+    ``kernel.pairs`` flop proxy for real (non-phantom) workloads.
     """
     from repro.core.runner import Run, get_algorithm
     from repro.metrics.collect import record_engine_run
+    from repro.physics.particles import PhantomSet
 
     t0 = time.perf_counter()
     if alg is None:
@@ -839,7 +795,7 @@ def run_heuristic(spec, alg=None):
     if spec.metrics is not None:
         record_engine_run(spec.metrics, result, op_histogram=sim.ops,
                           wall_s=time.perf_counter() - t0)
-        if alg.functional and sim.npairs:
+        if sim.npairs and not isinstance(spec.particles, PhantomSet):
             spec.metrics.counter("kernel.pairs").inc(int(sim.npairs))
     return Run(algorithm=alg.name, ids=None, forces=None, run=result,
                spec=spec)

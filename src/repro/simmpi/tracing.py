@@ -11,7 +11,6 @@ expressions (S, W) can be checked against observed traffic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 __all__ = ["NullTrace", "PhaseTotals", "RankTrace", "TimelineEvent",
@@ -313,12 +312,3 @@ def timeline_to_json(events: list[TimelineEvent]) -> str:
         for e in sorted(events, key=lambda e: (e.t_start, e.rank, e.t_end))
     ]
     return json.dumps(rows, indent=1)
-
-
-def merge_phase_dicts(dicts: list[dict[str, PhaseTotals]]) -> dict[str, PhaseTotals]:
-    """Merge several label->totals maps (summing), preserving label order."""
-    out: dict[str, PhaseTotals] = defaultdict(PhaseTotals)
-    for d in dicts:
-        for lab, tot in d.items():
-            out[lab].merge(tot)
-    return dict(out)

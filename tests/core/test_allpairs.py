@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import RunSpec, allpairs_config, run
 from repro.machines import GenericMachine, GenericTorus, InstantMachine
-from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
+from repro.physics import ForceLaw, ParticleSet, PhantomSet, reference_forces, reference_pair_matrix
 from repro.theory import ca_allpairs_cost
 
 from tests.conftest import assert_forces_close
@@ -97,7 +97,7 @@ class TestCommunicationCosts:
         msgs = {}
         for c in (1, 2, 4, 8):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="allpairs_virtual", n=n, c=c))
+                              algorithm="allpairs", particles=PhantomSet(n), c=c))
             msgs[c] = res.report.max_messages("shift")
         # Shift messages ~ p/c^2 (one per step, plus the skew).
         for c in (1, 2, 4, 8):
@@ -109,7 +109,7 @@ class TestCommunicationCosts:
         p, n = 64, 4096
         for c in (1, 2, 4, 8):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="allpairs_virtual", n=n, c=c))
+                              algorithm="allpairs", particles=PhantomSet(n), c=c))
             got = res.report.max_bytes("shift")
             expect_words = ca_allpairs_cost(n, p, c).words  # particles
             # 52 bytes per particle; the skew adds one extra block.
@@ -121,29 +121,31 @@ class TestCommunicationCosts:
         p, n = 16, 1024
         for c in (1, 2, 4):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="allpairs_virtual", n=n, c=c))
+                              algorithm="allpairs", particles=PhantomSet(n), c=c))
             total = sum(r.npairs for r in res.run.results)
             assert total == n * n
 
     def test_compute_time_balanced(self):
         p, n = 16, 1024
         res = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="allpairs_virtual", n=n, c=4))
+                          algorithm="allpairs", particles=PhantomSet(n), c=4))
         per_rank = [r.npairs for r in res.run.results]
         assert max(per_rank) <= 2 * min(per_rank)
 
     def test_communication_decreases_with_c(self, torus64):
         comm = []
         for c in (1, 2, 4, 8):
-            rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
-                              n=4096, c=c)).report
+            rep = run(RunSpec(machine=torus64, algorithm="allpairs",
+                              particles=PhantomSet(4096), c=c)).report
             comm.append(rep.max_time("shift"))
         assert comm[0] > comm[1] > comm[2] > comm[3]
 
     def test_shift_drops_superlinearly(self, torus64):
-        r1 = run(RunSpec(machine=torus64, algorithm="allpairs_virtual", n=8192,
+        r1 = run(RunSpec(machine=torus64, algorithm="allpairs",
+                         particles=PhantomSet(8192),
                          c=1)).report.max_time("shift")
-        r4 = run(RunSpec(machine=torus64, algorithm="allpairs_virtual", n=8192,
+        r4 = run(RunSpec(machine=torus64, algorithm="allpairs",
+                         particles=PhantomSet(8192),
                          c=4)).report.max_time("shift")
         # Equation 5 predicts ~c^2 = 16x; allow generous slack for latency.
         assert r1 / r4 > 4
@@ -178,27 +180,42 @@ class TestConfig:
 
 class TestPhases:
     def test_expected_phases_present(self, torus64):
-        rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
-                          n=2048, c=4)).report
+        rep = run(RunSpec(machine=torus64, algorithm="allpairs",
+                          particles=PhantomSet(2048), c=4)).report
         labels = rep.phase_labels()
         for lab in ("bcast", "shift", "compute", "reduce"):
             assert lab in labels
 
     def test_c1_has_no_collectives(self, torus64):
-        rep = run(RunSpec(machine=torus64, algorithm="allpairs_virtual",
-                          n=2048, c=1)).report
+        rep = run(RunSpec(machine=torus64, algorithm="allpairs",
+                          particles=PhantomSet(2048), c=1)).report
         assert rep.max_time("bcast") == 0.0
         assert rep.max_time("reduce") == 0.0
 
-    def test_functional_and_virtual_same_structure(self, law):
-        """Real and phantom runs produce identical message counts."""
-        p, c, n = 8, 2, 64
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           algorithm=st.sampled_from(["allpairs", "symmetric"]),
+           tier=st.sampled_from(["event", "heuristic"]))
+    def test_functional_and_virtual_same_structure(self, data, algorithm,
+                                                   tier):
+        """A phantom workload is a data mode: over any legal (p, c, n) the
+        phantom run and the real run send and receive the same messages
+        and bytes, per rank and per phase, on both engine tiers."""
+        p = data.draw(st.integers(1, 16), label="p")
+        c = data.draw(st.sampled_from([d for d in range(1, p + 1)
+                                       if p % d == 0]), label="c")
+        n = data.draw(st.integers(1, 96), label="n")
         ps = ParticleSet.uniform_random(n, 2, 1.0, seed=5)
-        m = GenericTorus(nranks=p, cores_per_node=2)
-        real = run(RunSpec(machine=m, algorithm="allpairs", particles=ps, c=c,
-                           law=law)).report
-        virt = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=n,
-                           c=c)).report
-        for lab in ("bcast", "shift", "reduce"):
-            assert real.max_messages(lab) == virt.max_messages(lab)
-            assert real.max_bytes(lab) == virt.max_bytes(lab)
+        m = GenericTorus(nranks=p, cores_per_node=1)
+
+        def traffic(particles):
+            report = run(RunSpec(machine=m, algorithm=algorithm,
+                                 particles=particles, c=c,
+                                 engine_tier=tier)).report
+            return {(tr.rank, label): (pt.messages_sent, pt.bytes_sent,
+                                       pt.messages_received,
+                                       pt.bytes_received)
+                    for tr in report.traces
+                    for label, pt in tr.phases.items()}
+
+        assert traffic(PhantomSet(n)) == traffic(ps)

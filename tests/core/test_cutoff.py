@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import RunSpec, cutoff_config, run
 from repro.machines import GenericMachine, InstantMachine
-from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
+from repro.physics import ForceLaw, ParticleSet, PhantomSet, reference_forces, reference_pair_matrix
 from repro.theory import ca_cutoff_cost
 
 from tests.conftest import assert_forces_close
@@ -143,8 +143,8 @@ class TestCommunicationCosts:
         p, n = 64, 4096
         for c in (1, 2, 4):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="cutoff_virtual", n=n, c=c, rcut=0.25,
-                              box_length=1.0, dim=1))
+                              algorithm="cutoff", particles=PhantomSet(n, 1), c=c, rcut=0.25,
+                              box_length=1.0))
             got = res.report.max_messages("shift")
             T = p // c
             m = -(-T // 4)  # rcut spans T/4 cells
@@ -155,18 +155,18 @@ class TestCommunicationCosts:
     def test_fewer_messages_than_allpairs(self):
         p, n = 64, 4096
         ap = run(RunSpec(machine=GenericMachine(nranks=p),
-                         algorithm="allpairs_virtual", n=n, c=1))
+                         algorithm="allpairs", particles=PhantomSet(n), c=1))
         co = run(RunSpec(machine=GenericMachine(nranks=p),
-                         algorithm="cutoff_virtual", n=n, c=1, rcut=0.1,
-                         box_length=1.0, dim=1))
+                         algorithm="cutoff", particles=PhantomSet(n, 1), c=1, rcut=0.1,
+                         box_length=1.0))
         assert (co.report.max_messages("shift")
                 < ap.report.max_messages("shift"))
 
     def test_boundary_teams_compute_less(self):
         p, n = 32, 2048
         res = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
-                          box_length=1.0, dim=1))
+                          algorithm="cutoff", particles=PhantomSet(n, 1), c=1, rcut=0.25,
+                          box_length=1.0))
         pairs = {r.col: r.npairs for r in res.run.results}
         interior = pairs[p // 2]
         corner = pairs[0]
@@ -175,8 +175,8 @@ class TestCommunicationCosts:
     def test_scanned_pairs_bounded_by_window(self):
         p, n = 16, 1024
         res = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
-                          box_length=1.0, dim=1))
+                          algorithm="cutoff", particles=PhantomSet(n, 1), c=1, rcut=0.25,
+                          box_length=1.0))
         total = sum(r.npairs for r in res.run.results)
         # Far fewer scans than all-pairs, at least the within-cutoff count.
         assert total < n * n

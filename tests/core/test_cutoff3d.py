@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import RunSpec, cutoff_config, run
 from repro.machines import GenericMachine, InstantMachine
-from repro.physics import ForceLaw, ParticleSet, reference_forces, reference_pair_matrix
+from repro.physics import ForceLaw, ParticleSet, PhantomSet, reference_forces, reference_pair_matrix
 
 from tests.conftest import assert_forces_close
 
@@ -59,8 +59,8 @@ class TestCutoff3D:
         msgs = {}
         for dim, p in ((1, 64), (2, 64), (3, 64)):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="cutoff_virtual", n=n, c=1, rcut=0.4,
-                              box_length=1.0, dim=dim))
+                              algorithm="cutoff", particles=PhantomSet(n, dim), c=1, rcut=0.4,
+                              box_length=1.0))
             msgs[dim] = res.report.max_messages("shift")
         assert msgs[1] < msgs[2] <= msgs[3] + 1
 

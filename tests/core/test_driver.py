@@ -151,7 +151,7 @@ class TestVirtualSimulation:
         three = run_simulation_virtual(m, cfg, 1024, 3, dim=1).elapsed
         assert three == pytest.approx(3 * one, rel=0.05)
 
-    def test_allpairs_virtual_sim_has_no_reassign(self):
+    def test_allpairs_phantom_sim_has_no_reassign(self):
         cfg = allpairs_config(8, 2)
         run = run_simulation_virtual(GenericMachine(nranks=8), cfg, 1024, 2)
         assert "reassign" not in run.report.phase_labels()

@@ -12,7 +12,7 @@ import pytest
 from repro.core import RunSpec, run
 from repro.machines import GenericMachine, GenericTorus
 from repro.model import allpairs_breakdown
-from repro.physics import ParticleSet, reference_forces
+from repro.physics import ParticleSet, PhantomSet, reference_forces
 from repro.simmpi import ReplicatedGrid
 
 from tests.conftest import assert_forces_close
@@ -67,9 +67,11 @@ class TestLayoutTradeoff:
         trees run over shared memory while the shifts stretch."""
         m = GenericTorus(nranks=64, cores_per_node=4)
         c = 4
-        rows = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+        rows = run(RunSpec(machine=m, algorithm="allpairs",
+                           particles=PhantomSet(8192),
                            c=c, layout="rows")).report
-        teams = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192,
+        teams = run(RunSpec(machine=m, algorithm="allpairs",
+                            particles=PhantomSet(8192),
                             c=c, layout="teams")).report
         coll_rows = rows.max_time("bcast") + rows.max_time("reduce")
         coll_teams = teams.max_time("bcast") + teams.max_time("reduce")
@@ -87,7 +89,8 @@ class TestLayoutTradeoff:
     def test_analytic_matches_sim_for_teams_layout(self):
         m = GenericTorus(nranks=64, cores_per_node=4, alpha=2e-6, beta=5e-10,
                          pair_time=5e-8)
-        sim = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=8192, c=4,
+        sim = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(8192), c=4,
                           layout="teams"))
         model = allpairs_breakdown(m, 8192, 4, layout="teams")
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)

@@ -11,6 +11,7 @@ import pytest
 from repro.core import RunSpec, run
 from repro.machines import GenericMachine
 from repro.machines.base import PARTICLE_BYTES
+from repro.physics import PhantomSet
 from repro.theory import memory_per_rank
 
 
@@ -19,7 +20,7 @@ class TestAllPairsMemory:
     def test_matches_equation4(self, c):
         p, n = 32, 4096
         res = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="allpairs_virtual", n=n, c=c))
+                          algorithm="allpairs", particles=PhantomSet(n), c=c))
         measured = max(r.memory_bytes for r in res.run.results)
         # Home block + exchange buffer, each cn/p particles of 52 bytes.
         expected = 2 * memory_per_rank(n, p, c) * PARTICLE_BYTES
@@ -30,7 +31,7 @@ class TestAllPairsMemory:
         mem = {}
         for c in (1, 2, 4, 8):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="allpairs_virtual", n=n, c=c))
+                              algorithm="allpairs", particles=PhantomSet(n), c=c))
             mem[c] = max(r.memory_bytes for r in res.run.results)
         assert mem[2] == 2 * mem[1]
         assert mem[8] == 8 * mem[1]
@@ -41,9 +42,9 @@ class TestAllPairsMemory:
         p, n = 32, 4096
         for c in (2, 4):
             run1 = run(RunSpec(machine=GenericMachine(nranks=p),
-                               algorithm="allpairs_virtual", n=n, c=1))
+                               algorithm="allpairs", particles=PhantomSet(n), c=1))
             runc = run(RunSpec(machine=GenericMachine(nranks=p),
-                               algorithm="allpairs_virtual", n=n, c=c))
+                               algorithm="allpairs", particles=PhantomSet(n), c=c))
             m1 = max(r.memory_bytes for r in run1.run.results)
             mc = max(r.memory_bytes for r in runc.run.results)
             w1 = run1.report.max_bytes("shift")
@@ -63,14 +64,14 @@ class TestCutoffMemory:
         p, n = 32, 4096
         for c in (1, 2):
             res = run(RunSpec(machine=GenericMachine(nranks=p),
-                              algorithm="cutoff_virtual", n=n, c=c, rcut=0.25,
-                              box_length=1.0, dim=1))
+                              algorithm="cutoff", particles=PhantomSet(n, 1), c=c, rcut=0.25,
+                              box_length=1.0))
             measured = max(r.memory_bytes for r in res.run.results)
             expected = 2 * memory_per_rank(n, p, c) * PARTICLE_BYTES
             assert measured == pytest.approx(expected, rel=0.05)
 
     def test_memory_reported_per_rank(self):
         res = run(RunSpec(machine=GenericMachine(nranks=16),
-                          algorithm="cutoff_virtual", n=1024, c=2, rcut=0.25,
-                          box_length=1.0, dim=1))
+                          algorithm="cutoff", particles=PhantomSet(1024, 1), c=2, rcut=0.25,
+                          box_length=1.0))
         assert all(r.memory_bytes > 0 for r in res.run.results)

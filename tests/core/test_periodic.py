@@ -23,6 +23,7 @@ from repro.machines import GenericMachine, InstantMachine
 from repro.physics import (
     ForceLaw,
     ParticleSet,
+    PhantomSet,
     euler_step,
     reference_forces,
     reference_pair_matrix,
@@ -134,14 +135,14 @@ class TestPeriodicLoadBalance:
         the boundary imbalance the paper describes is gone."""
         p, n = 32, 2048
         per = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
-                          box_length=1.0, dim=1, periodic=True))
+                          algorithm="cutoff", particles=PhantomSet(n, 1), c=1, rcut=0.25,
+                          box_length=1.0, periodic=True))
         pairs = {r.col: r.npairs for r in per.run.results}
         assert len(set(pairs.values())) == 1
 
         ref = run(RunSpec(machine=GenericMachine(nranks=p),
-                          algorithm="cutoff_virtual", n=n, c=1, rcut=0.25,
-                          box_length=1.0, dim=1, periodic=False))
+                          algorithm="cutoff", particles=PhantomSet(n, 1), c=1, rcut=0.25,
+                          box_length=1.0, periodic=False))
         ref_pairs = {r.col: r.npairs for r in ref.run.results}
         assert len(set(ref_pairs.values())) > 1
 
@@ -150,10 +151,12 @@ class TestPeriodicLoadBalance:
         from repro.machines import GenericTorus
 
         m = GenericTorus(nranks=32, cores_per_node=4)
-        per = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=4096, c=2,
-                          rcut=0.25, box_length=1.0, dim=1, periodic=True))
-        ref = run(RunSpec(machine=m, algorithm="cutoff_virtual", n=4096, c=2,
-                          rcut=0.25, box_length=1.0, dim=1, periodic=False))
+        per = run(RunSpec(machine=m, algorithm="cutoff",
+                          particles=PhantomSet(4096, 1), c=2,
+                          rcut=0.25, box_length=1.0, periodic=True))
+        ref = run(RunSpec(machine=m, algorithm="cutoff",
+                          particles=PhantomSet(4096, 1), c=2,
+                          rcut=0.25, box_length=1.0, periodic=False))
         assert per.report.max_time("shift") < ref.report.max_time("shift")
 
 

@@ -1,7 +1,7 @@
 """The algorithm registry and the single run pipeline.
 
 The centerpiece is the cross-algorithm equivalence matrix: every
-registered *functional* algorithm, on both a uniform and a clustered
+registered algorithm, on both a uniform and a clustered
 workload, must reproduce the serial reference forces and the exactly-once
 pair-coverage invariant through the pipeline.  The matrix is parametrized
 off the registry itself, so a newly registered algorithm is tested for
@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.runner import _REGISTRY
 from repro.machines import GenericMachine
-from repro.physics import ForceLaw, ParticleSet
+from repro.physics import ForceLaw, ParticleSet, PhantomSet
 from repro.physics.reference import reference_forces, reference_pair_matrix
 from repro.physics.workloads import gaussian_clusters
 from repro.simmpi.faults import DropTransfer, FaultSchedule, KillRank
@@ -60,8 +60,9 @@ def _reference_law(name) -> ForceLaw:
         else ForceLaw()
 
 
-FUNCTIONAL = list_algorithms(functional=True)
-MODELED = list_algorithms(functional=False)
+ALGORITHMS = list_algorithms()
+#: The algorithms with a modeled mode over a PhantomSet workload.
+PHANTOM_CAPABLE = ("allpairs", "cutoff", "symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +71,9 @@ MODELED = list_algorithms(functional=False)
 
 
 @pytest.mark.parametrize("workload", ["uniform", "clustered"])
-@pytest.mark.parametrize("name", FUNCTIONAL)
+@pytest.mark.parametrize("name", ALGORITHMS)
 def test_equivalence_matrix(name, workload):
-    """Every functional algorithm x workload: reference forces + coverage."""
+    """Every algorithm x workload: reference forces + coverage."""
     particles = _workload(workload)
     spec = _spec(GenericMachine(nranks=P), name, particles)
     out = run(spec)
@@ -96,31 +97,42 @@ def test_equivalence_matrix(name, workload):
         np.testing.assert_array_equal(counted, expected)
 
 
-@pytest.mark.parametrize("name", MODELED)
-def test_modeled_algorithms_run(name):
-    """Modeled twins execute through the pipeline and carry a report."""
-    alg = get_algorithm(name)
-    kw = dict(machine=GenericMachine(nranks=P), algorithm=name, n=96,
-              c=2 if alg.supports_c else 1)
-    if alg.needs_rcut:
+@pytest.mark.parametrize("name", PHANTOM_CAPABLE)
+def test_phantom_workload_runs(name):
+    """A PhantomSet workload runs through the pipeline: a report, no forces."""
+    kw = dict(machine=GenericMachine(nranks=P), algorithm=name,
+              particles=PhantomSet(96), c=2)
+    if get_algorithm(name).needs_rcut:
         kw.update(rcut=RCUT, box_length=1.0)
-    spec = RunSpec(**kw)
-    out = run(spec)
+    out = run(RunSpec(**kw))
     assert out.ids is None and out.forces is None
     assert out.run.elapsed > 0
     assert out.report.phase_labels()
 
 
+@pytest.mark.parametrize("tier", ["event", "heuristic"])
+@pytest.mark.parametrize("name", [n for n in ALGORITHMS
+                                  if n not in PHANTOM_CAPABLE])
+def test_phantom_workload_rejected_elsewhere(name, tier):
+    """Adapters without a modeled mode refuse a PhantomSet, naming themselves."""
+    alg = get_algorithm(name)
+    spec = RunSpec(machine=GenericMachine(nranks=P), algorithm=name,
+                   particles=PhantomSet(96), engine_tier=tier,
+                   rcut=RCUT if alg.needs_rcut else None)
+    with pytest.raises(ValueError, match=f"algorithm {name!r} has no phantom"):
+        run(spec)
+
+
 # ---------------------------------------------------------------------------
-# Uniform knob threading: faults, engine_opts, scratch for EVERY functional
+# Uniform knob threading: faults, engine_opts, scratch for EVERY
 # algorithm (the PR-1/PR-2 coverage gap this layer closes).
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", FUNCTIONAL)
+@pytest.mark.parametrize("name", ALGORITHMS)
 def test_transient_faults_accepted_everywhere(name, particles_2d):
     """A kill-free schedule (dropped transfer -> engine retry) is accepted
-    by every functional algorithm and leaves forces correct."""
+    by every algorithm and leaves forces correct."""
     faults = FaultSchedule(events=(DropTransfer(0, 1),), seed=3)
     spec = _spec(GenericMachine(nranks=P), name, particles_2d,
                  pair_counter=None, faults=faults)
@@ -131,10 +143,10 @@ def test_transient_faults_accepted_everywhere(name, particles_2d):
                         reference_forces(law, particles_2d)[order])
 
 
-@pytest.mark.parametrize("name", FUNCTIONAL)
+@pytest.mark.parametrize("name", ALGORITHMS)
 def test_engine_opts_and_scratch_everywhere(name, particles_2d):
     """fast_path=False + scratch=False reproduce the default-path forces
-    bitwise for every functional algorithm."""
+    bitwise for every algorithm."""
     machine = GenericMachine(nranks=P)
     fast = run(_spec(machine, name, particles_2d, pair_counter=None))
     ref = run(_spec(machine, name, particles_2d, pair_counter=None,
@@ -143,7 +155,7 @@ def test_engine_opts_and_scratch_everywhere(name, particles_2d):
     assert fast.run.elapsed == ref.run.elapsed
 
 
-@pytest.mark.parametrize("name", [n for n in FUNCTIONAL
+@pytest.mark.parametrize("name", [n for n in ALGORITHMS
                                   if get_algorithm(n).fault_mode != "kills"])
 def test_kills_rejected_without_recovery_path(name, particles_2d):
     """Kill schedules are rejected up front by non-resilient algorithms."""
@@ -200,7 +212,7 @@ def test_register_and_run_custom_algorithm():
                           algorithm=name, n=4))
         assert out.algorithm == name
         assert len(out.ids) == comm_size
-        assert name in list_algorithms(functional=True)
+        assert name in list_algorithms()
     finally:
         _REGISTRY.pop(name, None)
 
@@ -283,3 +295,25 @@ def test_every_core_runner_is_registered_or_exempt(tmp_path):
     shim.write_text("def run_allpairs(machine, particles, c): ...\n")
     assert any("run_allpairs" in p
                for p in check_registry.problems(tmp_path))
+
+
+def test_registry_gate_rejects_virtual_names():
+    """The CI gate fails on a registry name ending in ``_virtual``: modeled
+    runs are a PhantomSet workload, not a second registration."""
+    import sys
+    from pathlib import Path
+
+    tools = Path(__file__).resolve().parents[2] / "tools"
+    sys.path.insert(0, str(tools))
+    try:
+        import check_registry
+    finally:
+        sys.path.remove(str(tools))
+    name = "_probe_virtual"
+    register_algorithm(name)(lambda spec: None)
+    try:
+        assert any(repr(name) in p and "_virtual" in p
+                   for p in check_registry.problems())
+    finally:
+        _REGISTRY.pop(name, None)
+    assert check_registry.problems() == []

@@ -1,6 +1,7 @@
 """Bitwise-determinism locks under perturbed schedules, registry-wide.
 
-Every registered algorithm (functional and modeled) runs once under FIFO
+Every registered algorithm, and the CA algorithms again over a phantom
+workload (``schedfuzz.PHANTOM_UNITS``), runs once under FIFO
 and once under each of five perturbed scheduler policies; every observable
 — forces and particle ids (bitwise), the makespan, every rank's final
 clock, and every per-rank per-phase time/traffic total — must be
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 
 from repro.core import RunSpec, get_algorithm, list_algorithms, run
+from repro.experiments.schedfuzz import PHANTOM_UNITS
 from repro.machines import GenericMachine
+from repro.physics import PhantomSet
 
 #: Five derived seeds plus the deterministic anti-FIFO policy: the same
 #: spread of interleavings the fuzzer explores, small enough for tier 1.
@@ -28,10 +31,15 @@ SCHEDULES = ["random:1", "random:2", "random:3", "random:4", "random:5",
 _P, _N, _C, _RCUT, _SEED = 16, 64, 2, 0.3, 0
 
 
-def _spec(name: str, schedule=None) -> RunSpec:
+UNITS = sorted([*list_algorithms(), *PHANTOM_UNITS])
+
+
+def _spec(unit: str, schedule=None) -> RunSpec:
+    name, phantom_dim = PHANTOM_UNITS.get(unit, (unit, None))
     alg = get_algorithm(name)
     return RunSpec(
         machine=GenericMachine(nranks=_P), algorithm=name, n=_N,
+        particles=None if phantom_dim is None else PhantomSet(_N, phantom_dim),
         c=_C if alg.supports_c else 1,
         rcut=_RCUT if alg.needs_rcut else None,
         seed=_SEED, schedule=schedule,
@@ -54,11 +62,11 @@ def _signature(out):
 @pytest.fixture(scope="module")
 def fifo_baselines():
     """One FIFO run per algorithm, shared by every schedule case."""
-    return {name: _signature(run(_spec(name))) for name in list_algorithms()}
+    return {name: _signature(run(_spec(name))) for name in UNITS}
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("name", list_algorithms())
+@pytest.mark.parametrize("name", UNITS)
 def test_bitwise_identical_under_perturbed_schedule(name, schedule,
                                                     fifo_baselines):
     got = run(_spec(name, schedule=schedule))

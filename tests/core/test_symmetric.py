@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import RunSpec, half_ring_schedule, run, symmetric_config
 from repro.machines import GenericMachine, GenericTorus, InstantMachine
-from repro.physics import ForceLaw, ParticleSet, reference_forces
+from repro.physics import ForceLaw, ParticleSet, PhantomSet, reference_forces
 
 from tests.conftest import assert_forces_close
 
@@ -111,9 +111,10 @@ class TestCosts:
         p, n = 16, 1024
         m = GenericMachine(nranks=p)
         std, sym = (
-            sum(r.npairs for r in run(RunSpec(machine=m, algorithm=name,
-                                              n=n, c=2)).run.results)
-            for name in ("allpairs_virtual", "symmetric_virtual"))
+            sum(r.npairs for r in run(RunSpec(
+                machine=m, algorithm=name, particles=PhantomSet(n),
+                c=2)).run.results)
+            for name in ("allpairs", "symmetric"))
         # n^2 vs n(n-1)/2 + ... the pair total is (n^2 - n_self_diag)/2.
         assert std == n * n
         assert sym < std * 0.51
@@ -121,15 +122,18 @@ class TestCosts:
 
     def test_fewer_shift_steps(self):
         m = GenericTorus(nranks=32, cores_per_node=4)
-        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+        std = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(2048),
                           c=2)).report.max_messages("shift")
-        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+        sym = run(RunSpec(machine=m, algorithm="symmetric",
+                          particles=PhantomSet(2048),
                           c=2)).report.max_messages("shift")
         assert sym < std
 
     def test_return_phase_present_and_small(self):
         m = GenericTorus(nranks=16, cores_per_node=4)
-        rep = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+        rep = run(RunSpec(machine=m, algorithm="symmetric",
+                          particles=PhantomSet(2048),
                           c=2)).report
         assert rep.max_messages("return") == 1
         assert rep.max_time("return") > 0
@@ -137,9 +141,11 @@ class TestCosts:
     def test_faster_in_compute_bound_regime(self):
         m = GenericTorus(nranks=16, cores_per_node=4, pair_time=1e-6,
                          alpha=1e-7, beta=1e-11)
-        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+        std = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(2048),
                           c=2)).elapsed
-        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+        sym = run(RunSpec(machine=m, algorithm="symmetric",
+                          particles=PhantomSet(2048),
                           c=2)).elapsed
         assert sym < 0.75 * std
 
@@ -147,9 +153,11 @@ class TestCosts:
         """Per-step messages are larger (positions + reactions) but the
         loop is about half as long."""
         m = GenericMachine(nranks=16)
-        std = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=2048,
+        std = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(2048),
                           c=1)).report
-        sym = run(RunSpec(machine=m, algorithm="symmetric_virtual", n=2048,
+        sym = run(RunSpec(machine=m, algorithm="symmetric",
+                          particles=PhantomSet(2048),
                           c=1)).report
         per_msg_std = std.max_bytes("shift") / std.max_messages("shift")
         per_msg_sym = sym.max_bytes("shift") / sym.max_messages("shift")

@@ -29,7 +29,7 @@ def test_full_functional_sweep(machine, particles):
     result = compare_algorithms(machine, particles, c=2, rcut=0.3)
     assert isinstance(result, ComparisonResult)
     names = [e.algorithm for e in result.entries]
-    # Square p and rcut given: every functional algorithm participates.
+    # Square p and rcut given: every algorithm participates.
     assert set(names) >= {"allpairs", "cutoff", "midpoint", "spatial",
                           "symmetric", "particle_ring",
                           "particle_allgather", "force_decomposition"}
@@ -59,13 +59,6 @@ def test_skips_record_reasons(particles):
     assert ran == {"allpairs", "symmetric", "particle_ring",
                    "particle_allgather", "systolic_ring",
                    "half_systolic", "hyper_systolic"}
-
-
-def test_modeled_algorithms_skipped_by_default(machine, particles):
-    result = compare_algorithms(machine, particles,
-                                algorithms=["allpairs", "allpairs_virtual"])
-    assert [e.algorithm for e in result.entries] == ["allpairs"]
-    assert "modeled" in result.skipped["allpairs_virtual"]
 
 
 def test_c_adapts_to_capability(machine, particles):

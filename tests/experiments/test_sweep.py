@@ -9,6 +9,8 @@ here everything runs serially so the suite stays fast.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel import RetryPolicy
 from repro.core.runcache import RunCache
@@ -17,7 +19,9 @@ from repro.experiments.sweep import (
     expand_grid,
     normalize_task,
     replay_quarantine,
+    _build_machine,
     run_sweep,
+    sweep_task,
     task_fingerprint,
 )
 
@@ -57,6 +61,76 @@ class TestNormalizeTask:
     def test_bad_enums_rejected(self, bad):
         with pytest.raises(ValueError):
             normalize_task(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", 16.7), ("p", True), ("c", False), ("p", None), ("machine", None),
+        ("n", -5), ("p", 0), ("c", 0), ("n", [1]), ("seed", {"a": 1}),
+        ("rcut", float("inf")), ("rcut", "nan"), ("rcut", True),
+        ("p", float("inf")), ("algorithm", 5), ("dim", "two"),
+    ])
+    def test_malformed_fields_rejected(self, field, value):
+        """Each malformed field is a ValueError (HTTP 400 from the
+        service), not a truncated value, a bool-as-int or a TypeError."""
+        with pytest.raises(ValueError, match=repr(field)):
+            normalize_task({"algorithm": "allpairs", field: value})
+
+    def test_valid_spellings_keep_the_fingerprint(self):
+        want = ("sweep-v1;algorithm='allpairs';machine='generic';p=16;c=1;"
+                "n=64;seed=0;rcut=0.3;dim=None;hyper_k=None;"
+                "engine_tier='event'")
+        for p in (16, 16.0, "16"):
+            for rcut in (0.3, "0.3"):
+                assert task_fingerprint({"algorithm": "allpairs", "p": p,
+                                         "rcut": rcut}) == want
+
+    def test_unknown_algorithm_name_still_normalizes(self):
+        assert normalize_task({"algorithm": "no_such"})["algorithm"] \
+            == "no_such"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.one_of(st.sampled_from(["algorithm", "machine", "p", "c", "n",
+                                   "seed", "rcut", "dim", "hyper_k",
+                                   "engine_tier"]),
+                  st.text(max_size=4)),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8)
+            | st.sampled_from(["16", "16.0", "allpairs", "hopper",
+                               "heuristic", "1e3", "inf"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6),
+        max_size=6))
+    def test_any_json_object_normalizes_or_raises_value_error(self, desc):
+        """The trust boundary: an arbitrary JSON object becomes a
+        normalized descriptor or a ValueError, never another exception;
+        a normalized descriptor is a fixed point with a fingerprint."""
+        try:
+            out = normalize_task(desc)
+        except ValueError:
+            return
+        assert normalize_task(out) == out
+        assert task_fingerprint(desc) == task_fingerprint(out)
+        assert min(out["p"], out["n"], out["c"]) >= 1
+
+
+class TestMachines:
+    @pytest.mark.parametrize("machine, p", [
+        ("hopper", 16), ("hopper", 36), ("intrepid", 6), ("hopper", 48),
+        ("intrepid", 8),
+    ])
+    def test_any_rank_count_builds(self, machine, p):
+        """Hopper/Intrepid points whose p does not fill whole nodes run,
+        with the node sizes the CLI uses for the same rank count."""
+        from repro.cli import _machine
+
+        record = sweep_task(normalize_task(
+            {"algorithm": "allpairs", "machine": machine, "p": p, "c": 2,
+             "n": 64}))
+        assert record["forces"] is not None and record["elapsed"] > 0
+        assert _build_machine(machine, p).describe() == \
+            _machine(machine, p).describe()
 
 
 class TestExpandGrid:

@@ -81,6 +81,11 @@ class TestRoundTrip:
         with pytest.raises(ServiceError) as exc:
             client.submit([{"algorithm": "allpairs", "bogus": 1}])
         assert exc.value.status == 400
+        # malformed field values are a 400 too, never a 500 traceback
+        for bad in ({"n": [1]}, {"p": 16.7}, {"p": None}, {"n": -5}):
+            with pytest.raises(ServiceError) as exc:
+                client.submit([{"algorithm": "allpairs", **bad}])
+            assert exc.value.status == 400
         with pytest.raises(ServiceError) as exc:
             client.job("0" * 16)
         assert exc.value.status == 404

@@ -10,6 +10,7 @@ from repro.model import (
     allpairs_breakdown,
     cutoff_breakdown,
 )
+from repro.physics import PhantomSet
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +24,8 @@ class TestAllPairsConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_phases_match(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                          n=8192, c=c))
+        sim = run(RunSpec(machine=machine, algorithm="allpairs",
+                          particles=PhantomSet(8192), c=c))
         model = allpairs_breakdown(machine, 8192, c)
         for phase in ("bcast", "shift", "compute", "reduce"):
             s = sim.report.max_time(phase)
@@ -33,21 +34,22 @@ class TestAllPairsConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_makespan_matches(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                          n=8192, c=c))
+        sim = run(RunSpec(machine=machine, algorithm="allpairs",
+                          particles=PhantomSet(8192), c=c))
         model = allpairs_breakdown(machine, 8192, c)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.02)
 
     def test_different_n(self, machine):
         for n in (1024, 4096):
-            sim = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                              n=n, c=4))
+            sim = run(RunSpec(machine=machine, algorithm="allpairs",
+                              particles=PhantomSet(n), c=4))
             model = allpairs_breakdown(machine, n, 4)
             assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)
 
     def test_hopper_flavor_machine(self):
         m = Hopper(48, cores_per_node=12)
-        sim = run(RunSpec(machine=m, algorithm="allpairs_virtual", n=4096,
+        sim = run(RunSpec(machine=m, algorithm="allpairs",
+                          particles=PhantomSet(4096),
                           c=4))
         model = allpairs_breakdown(m, 4096, 4)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.1)
@@ -61,8 +63,9 @@ class TestCutoffConsistency:
     @pytest.mark.parametrize("dim,rcut", [(1, 0.25), (2, 0.2)])
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, dim, rcut, c):
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=c, rcut=rcut, box_length=1.0, dim=dim))
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, dim),
+                          c=c, rcut=rcut, box_length=1.0))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.get("compute") == pytest.approx(
@@ -72,8 +75,9 @@ class TestCutoffConsistency:
     @pytest.mark.parametrize("dim,rcut", [(1, 0.25), (2, 0.2)])
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_shift_and_bcast_match(self, machine, dim, rcut, c):
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=c, rcut=rcut, box_length=1.0, dim=dim))
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, dim),
+                          c=c, rcut=rcut, box_length=1.0))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.get("bcast") == pytest.approx(
@@ -90,8 +94,9 @@ class TestCutoffConsistency:
                                             (2, 0.2, 1), (2, 0.2, 2),
                                             (2, 0.2, 4), (2, 0.2, 8)])
     def test_makespan_within_tolerance(self, machine, dim, rcut, c):
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=c, rcut=rcut, box_length=1.0, dim=dim))
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, dim),
+                          c=c, rcut=rcut, box_length=1.0))
         model = cutoff_breakdown(machine, 8192, c, rcut=rcut, box_length=1.0,
                                  dim=dim, include_reassign=False)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.05)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
 from repro.model import cutoff_breakdown
+from repro.physics import PhantomSet
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +17,9 @@ def machine():
 class TestConsistency:
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=c, rcut=0.25, box_length=1.0, dim=1,
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, 1),
+                          c=c, rcut=0.25, box_length=1.0,
                           periodic=True))
         mod = cutoff_breakdown(machine, 8192, c, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)
@@ -27,8 +29,9 @@ class TestConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_makespan(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=c, rcut=0.25, box_length=1.0, dim=1,
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, 1),
+                          c=c, rcut=0.25, box_length=1.0,
                           periodic=True))
         mod = cutoff_breakdown(machine, 8192, c, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)
@@ -36,8 +39,9 @@ class TestConsistency:
 
     def test_shift_exact_at_c1(self, machine):
         """Uniform work: the gate model is exact, not just close."""
-        sim = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=8192,
-                          c=1, rcut=0.25, box_length=1.0, dim=1,
+        sim = run(RunSpec(machine=machine, algorithm="cutoff",
+                          particles=PhantomSet(8192, 1),
+                          c=1, rcut=0.25, box_length=1.0,
                           periodic=True))
         mod = cutoff_breakdown(machine, 8192, 1, rcut=0.25, box_length=1.0,
                                dim=1, include_reassign=False, periodic=True)

@@ -37,9 +37,10 @@ class TestPhaseBreakdown:
     def test_from_report(self):
         from repro.core import RunSpec, run
         from repro.machines import GenericMachine
+        from repro.physics import PhantomSet
 
         res = run(RunSpec(machine=GenericMachine(nranks=8),
-                          algorithm="allpairs_virtual", n=512, c=2))
+                          algorithm="allpairs", particles=PhantomSet(512), c=2))
         pb = PhaseBreakdown.from_report(res.report)
         assert pb.get("compute") == res.report.max_time("compute")
         assert pb.get("shift") == res.report.max_time("shift")
@@ -47,9 +48,10 @@ class TestPhaseBreakdown:
     def test_from_report_with_fixed_labels(self):
         from repro.core import RunSpec, run
         from repro.machines import GenericMachine
+        from repro.physics import PhantomSet
 
         res = run(RunSpec(machine=GenericMachine(nranks=8),
-                          algorithm="allpairs_virtual", n=512, c=1))
+                          algorithm="allpairs", particles=PhantomSet(512), c=1))
         pb = PhaseBreakdown.from_report(res.report, ("bcast", "shift"))
         assert set(pb.phases) == {"bcast", "shift"}
         assert pb.get("bcast") == 0.0

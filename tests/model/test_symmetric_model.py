@@ -5,6 +5,7 @@ import pytest
 from repro.core import RunSpec, run
 from repro.machines import GenericTorus, Hopper
 from repro.model import allpairs_breakdown, symmetric_breakdown
+from repro.physics import PhantomSet
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +17,8 @@ def machine():
 class TestConsistency:
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_compute_exact(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="symmetric_virtual",
-                          n=8192, c=c))
+        sim = run(RunSpec(machine=machine, algorithm="symmetric",
+                          particles=PhantomSet(8192), c=c))
         model = symmetric_breakdown(machine, 8192, c)
         assert model.get("compute") == pytest.approx(
             sim.report.max_time("compute"), rel=0.01
@@ -25,8 +26,8 @@ class TestConsistency:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_makespan_within_tolerance(self, machine, c):
-        sim = run(RunSpec(machine=machine, algorithm="symmetric_virtual",
-                          n=8192, c=c))
+        sim = run(RunSpec(machine=machine, algorithm="symmetric",
+                          particles=PhantomSet(8192), c=c))
         model = symmetric_breakdown(machine, 8192, c)
         assert model.meta["makespan"] == pytest.approx(sim.elapsed, rel=0.25)
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import RunSpec, allpairs_config, run
 from repro.machines import GenericTorus
+from repro.physics import PhantomSet
 from repro.simmpi import DropTransfer, FaultSchedule, KillRank
 
 _P, _C, _N = 8, 2, 1024
@@ -45,18 +46,22 @@ def _faulty_schedule():
 class TestCleanDeterminism:
     def test_allpairs_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C))
-        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C))
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_cutoff_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         kw = dict(rcut=0.3, box_length=1.0)
-        a = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="cutoff",
+                        particles=PhantomSet(_N, 1),
                         c=_C, **kw))
-        b = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="cutoff",
+                        particles=PhantomSet(_N, 1),
                         c=_C, **kw))
         assert _fingerprint(a) == _fingerprint(b)
 
@@ -65,9 +70,11 @@ class TestCleanDeterminism:
 class TestFaultyDeterminism:
     def test_faulty_run_twice_identical(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=_faulty_schedule()))
-        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=_faulty_schedule()))
         assert a.run.deaths, "schedule must actually kill rank 5"
         assert _fingerprint(a) == _fingerprint(b)
@@ -76,9 +83,11 @@ class TestFaultyDeterminism:
         """One schedule object reused across runs leaks no state."""
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         sched = _faulty_schedule()
-        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=sched))
-        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=sched))
         assert _fingerprint(a) == _fingerprint(b)
 
@@ -86,9 +95,11 @@ class TestFaultyDeterminism:
         machine = GenericTorus(nranks=_P, cores_per_node=4)
         sched = FaultSchedule(events=(KillRank(6, after_ops=5),))
         kw = dict(rcut=0.3, box_length=1.0)
-        a = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="cutoff",
+                        particles=PhantomSet(_N, 1),
                         c=_C, faults=sched, **kw))
-        b = run(RunSpec(machine=machine, algorithm="cutoff_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="cutoff",
+                        particles=PhantomSet(_N, 1),
                         c=_C, faults=sched, **kw))
         assert a.run.deaths
         assert _fingerprint(a) == _fingerprint(b)
@@ -106,10 +117,11 @@ class TestEmptyScheduleTransparency:
         messages and never extends the makespan.
         """
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        bare = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        bare = run(RunSpec(machine=machine, algorithm="allpairs",
+                           particles=PhantomSet(_N),
                            c=c))
-        empty = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                            n=_N, c=c, faults=FaultSchedule()))
+        empty = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=PhantomSet(_N), c=c, faults=FaultSchedule()))
         assert empty.elapsed == bare.elapsed
         assert not empty.run.deaths
         assert empty.report.total_messages() == bare.report.total_messages()
@@ -120,9 +132,11 @@ class TestEmptyScheduleTransparency:
 
     def test_empty_schedule_identical_across_runs(self):
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        a = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        a = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=FaultSchedule()))
-        b = run(RunSpec(machine=machine, algorithm="allpairs_virtual", n=_N,
+        b = run(RunSpec(machine=machine, algorithm="allpairs",
+                        particles=PhantomSet(_N),
                         c=_C, faults=FaultSchedule()))
         assert _fingerprint(a) == _fingerprint(b)
 
@@ -130,9 +144,9 @@ class TestEmptyScheduleTransparency:
         from repro.simmpi.tracing import RECOVER_PHASE
 
         machine = GenericTorus(nranks=_P, cores_per_node=4)
-        clean = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                            n=_N, c=_C))
-        faulty = run(RunSpec(machine=machine, algorithm="allpairs_virtual",
-                             n=_N, c=_C, faults=_faulty_schedule()))
+        clean = run(RunSpec(machine=machine, algorithm="allpairs",
+                            particles=PhantomSet(_N), c=_C))
+        faulty = run(RunSpec(machine=machine, algorithm="allpairs",
+                             particles=PhantomSet(_N), c=_C, faults=_faulty_schedule()))
         assert RECOVER_PHASE not in clean.report.phase_labels()
         assert faulty.report.max_time(RECOVER_PHASE) > 0

@@ -29,8 +29,10 @@ import numpy as np
 import pytest
 
 from repro.core.runner import RunSpec, get_algorithm, list_algorithms, run
+from repro.experiments.schedfuzz import PHANTOM_UNITS
 from repro.machines import GenericMachine, Hopper, Intrepid
 from repro.metrics.registry import MetricsRegistry
+from repro.physics import PhantomSet
 from repro.simmpi.fastsim import heuristic_algorithms
 
 PINNED = {"p": 16, "n": 64, "c": 2, "rcut": 0.3, "seed": 0}
@@ -39,11 +41,15 @@ LOCK_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / \
 
 
 def _spec(name, machine=None, **overrides):
+    """Pinned spec for a registry name or a phantom unit (``*_phantom``)."""
+    name, phantom_dim = PHANTOM_UNITS.get(name, (name, None))
     alg = get_algorithm(name)
+    n = overrides.pop("n", PINNED["n"])
     kw = dict(
         machine=machine or GenericMachine(nranks=PINNED["p"]),
         algorithm=name,
-        n=overrides.pop("n", PINNED["n"]),
+        n=n,
+        particles=None if phantom_dim is None else PhantomSet(n, phantom_dim),
         c=(overrides.pop("c", PINNED["c"]) if alg.supports_c else 1),
         rcut=(overrides.pop("rcut", PINNED["rcut"])
               if alg.needs_rcut else None),
@@ -75,7 +81,8 @@ def _assert_tiers_agree(spec):
 
 
 class TestTrafficParity:
-    @pytest.mark.parametrize("name", sorted(list_algorithms()))
+    @pytest.mark.parametrize("name",
+                             sorted([*list_algorithms(), *PHANTOM_UNITS]))
     def test_pinned_config(self, name):
         _assert_tiers_agree(_spec(name))
 
@@ -141,6 +148,14 @@ class TestMetricsProjection:
             run(_spec(name, metrics=metrics, engine_tier=tier))
             vals[tier] = int(metrics.value("kernel.pairs"))
         assert vals["heuristic"] == vals["event"] > 0
+
+    @pytest.mark.parametrize("name", sorted(PHANTOM_UNITS))
+    def test_phantom_records_no_kernel_pairs(self, name):
+        """A phantom workload evaluates no pairs, so neither tier counts any."""
+        for tier in ("event", "heuristic"):
+            metrics = MetricsRegistry()
+            run(_spec(name, metrics=metrics, engine_tier=tier))
+            assert metrics.value("kernel.pairs") == 0
 
     def test_comm_series_match_event_tier(self):
         series = {}

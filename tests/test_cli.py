@@ -179,9 +179,9 @@ class TestAlgorithms:
     def test_lists_registry(self):
         code, out = run_cli("algorithms")
         assert code == 0
-        for name in ("allpairs", "cutoff_virtual", "midpoint", "symmetric"):
+        for name in ("allpairs", "cutoff", "midpoint", "symmetric"):
             assert name in out
-        assert "functional" in out and "modeled" in out
+        assert "_virtual" not in out
         assert "kills" in out and "transient" in out
 
 
@@ -190,7 +190,7 @@ class TestCompare:
         code, out = run_cli("compare", "--ranks", "16", "--particles", "48",
                             "-c", "2", "--rcut", "0.3")
         assert code == 0
-        # All eight functional algorithms ran (square p, rcut given).
+        # All eight force-computing algorithms ran (square p, rcut given).
         for name in ("allpairs", "cutoff", "midpoint", "spatial",
                      "symmetric", "particle_ring", "particle_allgather",
                      "force_decomposition"):

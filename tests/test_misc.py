@@ -61,11 +61,15 @@ class TestSizeOneEdges:
 
 class TestCliHelpers:
     def test_small_cpn_divides(self):
-        from repro.cli import _small_cpn
+        """The CLI's node-sizing rule, now ``repro.machines.node_cores``."""
+        from repro.machines import node_cores
 
-        for p in (7, 12, 24, 96, 100):
-            cpn = _small_cpn(p)
-            assert p % cpn == 0
+        for name in ("hopper", "intrepid", "torus"):
+            for p in (7, 12, 24, 96, 100):
+                assert p % node_cores(name, p) == 0
+        assert node_cores("hopper", 48) == 24
+        assert node_cores("hopper", 36) == 12
+        assert node_cores("intrepid", 6) == 1
 
     def test_machine_factory(self):
         from repro.cli import _machine

@@ -9,9 +9,11 @@ when a second way reappears:
   multi-step drivers;
 * any module under ``src/repro/`` binds a top-level ``run_<name>`` (a
   ``def``, or an assignment such as a ``partial`` or an alias) for a
-  registered algorithm ``<name>``.
+  registered algorithm ``<name>``;
+* a registry name ends in ``_virtual``: a modeled run is the real
+  algorithm over a ``PhantomSet`` workload, not a second registration.
 
-Exit status 0 when neither happens; 1 with a listing of every violation
+Exit status 0 when none happens; 1 with a listing of every violation
 otherwise.
 
 Usage::
@@ -33,7 +35,8 @@ if str(_SRC) not in sys.path:  # pragma: no cover - import plumbing
 #: run_* entry points that are deliberately NOT registry algorithms.
 EXEMPT = {
     "run_simulation": "multi-timestep driver, not a single-step algorithm",
-    "run_simulation_virtual": "modeled twin of the multi-timestep driver",
+    "run_simulation_virtual": "multi-timestep driver over phantom blocks "
+                              "with a modeled reassign phase",
 }
 
 
@@ -60,6 +63,11 @@ def problems(src_root: Path = _SRC) -> list[str]:
         f"through run(RunSpec(...))"
         for name in sorted(core.__all__)
         if name.startswith("run_") and name not in EXEMPT
+    ]
+    found += [
+        f"registry name {name!r} ends in '_virtual'; run the real algorithm "
+        f"over a PhantomSet workload instead of registering a modeled twin"
+        for name in list_algorithms() if name.endswith("_virtual")
     ]
     shims = {f"run_{name}" for name in list_algorithms()}
     for path in sorted((src_root / "repro").rglob("*.py")):

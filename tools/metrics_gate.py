@@ -52,8 +52,17 @@ PINNED = {"p": 16, "n": 64, "c": 2, "rcut": 0.3, "seed": 0}
 
 #: Extra pinned configurations beyond the one-size-fits-all PINNED run:
 #: the d-dimensional cutoff window (Section IV-C) on a 2-D and a 3-D
-#: team grid.  Locked on both engine tiers like the per-algorithm table.
+#: team grid, and the three CA algorithms over a ``PhantomSet(n, dim)``
+#: workload (``"phantom": True``).  Locked on both engine tiers like the
+#: per-algorithm table.
 EXTRA_CASES = {
+    "allpairs_phantom": {"algorithm": "allpairs", "p": 16, "n": 64, "c": 2,
+                         "rcut": None, "dim": 2, "seed": 0, "phantom": True},
+    "cutoff_phantom": {"algorithm": "cutoff", "p": 16, "n": 64, "c": 2,
+                       "rcut": 0.3, "dim": 1, "seed": 0, "phantom": True},
+    "symmetric_phantom": {"algorithm": "symmetric", "p": 16, "n": 64,
+                          "c": 2, "rcut": None, "dim": 2, "seed": 0,
+                          "phantom": True},
     "cutoff_dim2": {"algorithm": "cutoff", "p": 16, "n": 64, "c": 2,
                     "rcut": 0.3, "dim": 2, "seed": 0},
     "cutoff_dim3": {"algorithm": "cutoff", "p": 27, "n": 81, "c": 1,
@@ -88,10 +97,13 @@ def measure_case(case: dict, engine_tier: str = "event") -> dict:
     """One :data:`EXTRA_CASES` configuration's exact comm volume."""
     from repro.core.runner import RunSpec, run
     from repro.machines import GenericMachine
+    from repro.physics.particles import PhantomSet
 
     spec = RunSpec(
         machine=GenericMachine(nranks=case["p"]),
         algorithm=case["algorithm"],
+        particles=(PhantomSet(case["n"], case["dim"])
+                   if case.get("phantom") else None),
         n=case["n"],
         c=case["c"],
         rcut=case["rcut"],
