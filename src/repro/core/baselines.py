@@ -219,12 +219,8 @@ def _prepare_spatial(spec: RunSpec) -> Prepared:
                         scratch=spec.scratch, metrics=spec.metrics)
     blocks = team_blocks_spatial(particles, geometry)
 
-    # Precompute each region's in-cutoff neighbor list (symmetric).
-    neighbors: list[list[int]] = []
-    for a in range(p):
-        neighbors.append(
-            [b for b in range(p) if b != a and geometry.team_distance_ok(a, b, rcut)]
-        )
+    # Each region's in-cutoff neighbor list (symmetric).
+    neighbors = geometry.neighbors(rcut)
 
     def program(comm):
         mine = blocks[comm.rank]

@@ -24,7 +24,7 @@ pairs so the machine model can charge computation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.commsched import (
     StepResult,
@@ -32,7 +32,7 @@ from repro.core.commsched import (
     scheduled_step,
 )
 from repro.core.window import ShiftSchedule
-from repro.physics.domain import TeamGeometry
+from repro.physics.domain import Reachability, TeamGeometry
 from repro.simmpi.collectives import binomial_fold
 from repro.simmpi.errors import RecoveredRankEvent, SimMPIError
 from repro.simmpi.faults import Tombstone
@@ -68,12 +68,18 @@ class CAConfig:
     geometry:
         Spatial team decomposition; required when ``rcut`` is set (the
         reachability pruning needs team regions).
+    reach:
+        Derived: with ``rcut``, the geometry's
+        :class:`~repro.physics.domain.Reachability`, built once; every
+        reachability test reads it.  ``None`` without a cutoff.
     """
 
     grid: ReplicatedGrid
     schedule: ShiftSchedule
     rcut: float | None = None
     geometry: TeamGeometry | None = None
+    reach: Reachability | None = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid.nteams != self.schedule.nteams:
@@ -92,12 +98,15 @@ class CAConfig:
                 f"geometry has {self.geometry.nteams} teams, grid has "
                 f"{self.grid.nteams}"
             )
+        if self.rcut is not None:
+            object.__setattr__(self, "reach",
+                               self.geometry.reachability(self.rcut))
 
     def reachable(self, col: int, visitor_team: int) -> bool:
         """Can blocks of teams ``col`` and ``visitor_team`` interact?"""
         if self.rcut is None:
             return True
-        return self.geometry.team_distance_ok(col, visitor_team, self.rcut)
+        return bool(self.reach(col, visitor_team))
 
 
 #: Per-rank outcome of one interaction step — the shared scheduled-step

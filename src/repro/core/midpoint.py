@@ -73,12 +73,7 @@ def _prepare_midpoint(spec: RunSpec) -> Prepared:
     # *particles* I must see are within rcut/2 + rcut/2; conservatively a
     # particle at distance > rcut/2 from my region cannot form an owned
     # midpoint with any of distance <= rcut).
-    neighbors: list[list[int]] = []
-    for a in range(p):
-        neighbors.append(
-            [b for b in range(p)
-             if b != a and geometry.team_distance_ok(a, b, rcut / 2)]
-        )
+    neighbors = geometry.neighbors(rcut / 2)
 
     def program(comm):
         me = comm.rank

@@ -13,7 +13,8 @@ region of the simulation space".  This module defines that region grid:
   can contain interacting particles under a cutoff radius — the test the
   algorithms use to skip physically-impossible block pairs (the source of
   the boundary load imbalance the paper reports, since the box is *not*
-  periodic).
+  periodic).  :meth:`TeamGeometry.reachability` precomputes the same test
+  for every team pair; the algorithms build it once per run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from repro.util import require
 
-__all__ = ["TeamGeometry", "team_of_positions", "weighted_geometry"]
+__all__ = ["Reachability", "TeamGeometry", "team_of_positions",
+           "weighted_geometry"]
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,68 @@ class TeamGeometry:
             delta = min(delta, d - delta)  # wrap-around cell separation
             gap2 += (max(delta - 1, 0) * w) ** 2
         return bool(gap2 <= rcut * rcut + 1e-12)
+
+    def reachability(self, rcut: float) -> "Reachability":
+        """:meth:`team_distance_ok` for every team pair, set up once.
+
+        Stores each team's per-axis cell index and the axis boundaries,
+        ``O(T)`` memory — never a ``T x T`` matrix (the paper-scale
+        figures use up to 24576 teams).
+        """
+        return Reachability(
+            index=tuple(np.unravel_index(np.arange(self.nteams),
+                                         self.team_dims)),
+            edges=tuple(self.axis_edges(k) for k in range(self.dim)),
+            widths=self.cell_widths if self.periodic else None,
+            limit=rcut * rcut + 1e-12,
+        )
+
+    def neighbors(self, rcut: float) -> list[list[int]]:
+        """Per team, the other teams within ``rcut`` (ascending ids)."""
+        reach = self.reachability(rcut)
+        teams = np.arange(self.nteams)
+        out = []
+        for a in range(self.nteams):
+            row = reach(a, teams)
+            row[a] = False
+            out.append(np.flatnonzero(row).tolist())
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class Reachability:
+    """Which team pairs can hold particles within a cutoff radius.
+
+    Built by :meth:`TeamGeometry.reachability`; ``reach(a, b)`` gives the
+    same decisions as ``geometry.team_distance_ok(a, b, rcut)`` (the same
+    per-axis cell gaps and ``1e-12`` slack), for scalar team ids or for
+    broadcastable id arrays.
+    """
+
+    #: Per axis, each team's cell index.
+    index: tuple[np.ndarray, ...]
+    #: Per axis, the cell boundaries.
+    edges: tuple[np.ndarray, ...]
+    #: Equal cell widths of a periodic box (wrap-around gaps); ``None``
+    #: for an open box.
+    widths: tuple[float, ...] | None
+    #: ``rcut**2`` plus the slack.
+    limit: float
+
+    def __call__(self, a, b):
+        gap2 = 0.0
+        for k, (idx, e) in enumerate(zip(self.index, self.edges)):
+            i, j = idx[a], idx[b]
+            if self.widths is None:
+                gap = np.maximum(0.0, np.maximum(e[j] - e[i + 1],
+                                                 e[i] - e[j + 1]))
+            else:
+                d = len(e) - 1
+                delta = np.abs(i - j)
+                delta = np.minimum(delta, d - delta)
+                gap = np.maximum(delta - 1, 0) * self.widths[k]
+            gap2 = gap2 + gap * gap
+        return gap2 <= self.limit
 
 
 def team_of_positions(

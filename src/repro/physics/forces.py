@@ -10,18 +10,38 @@ beyond a cutoff radius").
 The kernels are fully vectorized over target x source pairs and chunk the
 target axis so the temporary ``(nt, ns, d)`` displacement tensor stays
 within a bounded memory footprint.
+
+With a cutoff, :func:`pairwise_forces` first prunes candidates: it bins the
+targets into cells of width ``rcut`` and hands each cell's targets only the
+sources inside the cell's bounding box grown by ``rcut``, so the host
+evaluates ``O(nt k)`` pairs instead of ``nt ns``.  The machine model still
+charges the whole block pair (the returned count stays ``nt ns``, Algorithm
+2's block x block cost); pruning is a host-side optimization only.
+Periodic laws, ``half`` / ``pair_mask`` calls and blocks below
+``_PRUNE_MIN_PAIRS`` candidate pairs run the dense kernel unchanged.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ForceLaw", "clear_scratch", "pairwise_forces", "potential_energy"]
+__all__ = ["ForceLaw", "clear_scratch", "pairwise_forces", "potential_energy",
+           "scratch_bytes"]
 
 # Cap on nt * ns per vectorized chunk (elements of the pair matrix).
 _CHUNK_PAIRS = 1 << 22
+
+# Cutoff block pairs with fewer candidate pairs than this run the dense
+# kernel: below it, binning costs more than the masked pairs it saves (and
+# the many-rank tiny-block workloads keep their exact per-call path).
+_PRUNE_MIN_PAIRS = 1 << 14
+
+# Fewest targets a pruning cell should hold on average: finer cells cost a
+# dense-kernel call each, more than the candidates they would prune.
+_PRUNE_MIN_GROUP = 16
 
 # ---------------------------------------------------------------------------
 # Scratch-buffer pool.
@@ -36,7 +56,18 @@ _CHUNK_PAIRS = 1 << 22
 # buffer), so reuse cannot leak state between calls; results stay bitwise
 # identical to the allocating path (``scratch=False``), which the
 # determinism tests pin.
+#
+# The pool is a least-recently-used map capped at ``_SCRATCH_CAP_BYTES``:
+# ragged block shapes (spatially binned teams, pruned cutoff sub-blocks)
+# would otherwise each keep their buffers forever.  A shape whose buffers
+# alone exceed the cap is served unpooled.
 # ---------------------------------------------------------------------------
+
+# Byte cap of the scratch pool.  Equal 512-particle 2-D blocks need one
+# ~13 MiB shape (forward, reaction and self-half calls share it); the cap
+# holds two.
+_SCRATCH_CAP_BYTES = 32 << 20
+
 
 class _Scratch:
     """Every buffer one ``(m, ns, d)`` chunk shape needs, fetched in one
@@ -57,21 +88,46 @@ class _Scratch:
         self.within: np.ndarray | None = None
         self.rf: np.ndarray | None = None
 
+    @staticmethod
+    def nbytes(m: int, ns: int, d: int) -> int:
+        """Bytes of a shape's buffers once every lazy one exists."""
+        return 8 * (2 * m * ns * d + 2 * m * ns + m * d + ns * d) + 3 * m * ns
 
-_SCRATCH_POOL: dict[tuple[int, int, int], _Scratch] = {}
+
+_SCRATCH_POOL: OrderedDict[tuple[int, int, int], _Scratch] = OrderedDict()
+_scratch_total = 0  # sum of _Scratch.nbytes over the pooled shapes
 
 
 def _scratch_for(m: int, ns: int, d: int) -> _Scratch:
+    global _scratch_total
     key = (m, ns, d)
     bufs = _SCRATCH_POOL.get(key)
-    if bufs is None:
-        bufs = _SCRATCH_POOL[key] = _Scratch(m, ns, d)
+    if bufs is not None:
+        _SCRATCH_POOL.move_to_end(key)
+        return bufs
+    bufs = _Scratch(m, ns, d)
+    size = _Scratch.nbytes(m, ns, d)
+    if size <= _SCRATCH_CAP_BYTES:
+        while _scratch_total + size > _SCRATCH_CAP_BYTES:
+            evicted, _ = _SCRATCH_POOL.popitem(last=False)
+            _scratch_total -= _Scratch.nbytes(*evicted)
+        _SCRATCH_POOL[key] = bufs
+        _scratch_total += size
     return bufs
+
+
+def scratch_bytes() -> int:
+    """Bytes the scratch pool may hold for its current shapes (an upper
+    bound: lazily allocated buffers are counted whether or not they exist);
+    never more than the pool's cap."""
+    return _scratch_total
 
 
 def clear_scratch() -> None:
     """Drop all pooled kernel scratch buffers (frees their memory)."""
+    global _scratch_total
     _SCRATCH_POOL.clear()
+    _scratch_total = 0
 
 
 @dataclass(frozen=True)
@@ -166,14 +222,17 @@ def pairwise_forces(
     scratch:
         Reuse pooled per-shape scratch buffers (default).  ``False``
         allocates fresh temporaries per chunk — same results bit for bit,
-        kept for A/B determinism tests.
+        kept for A/B determinism tests.  Pruned cutoff calls allocate
+        either way: their ragged sub-block shapes rarely repeat.
 
     Returns
     -------
     (forces, npairs_scanned):
-        The accumulator, and the number of candidate pairs scanned —
-        the computation cost the machine model charges (``nt * ns``, or
-        the ``nt (nt - 1) / 2`` upper triangle in ``half`` mode).
+        The accumulator, and the number of candidate pairs of the block
+        pair — the computation cost the machine model charges (``nt * ns``,
+        or the ``nt (nt - 1) / 2`` upper triangle in ``half`` mode).  With
+        a cutoff the host may evaluate far fewer (see the module
+        docstring); the charge does not change.
     """
     nt, d = target_pos.shape
     ns = source_pos.shape[0]
@@ -183,7 +242,88 @@ def pairwise_forces(
         raise ValueError("half=True requires ids and reaction_out")
     if nt == 0 or ns == 0:
         return out, 0
+    if (law.rcut is not None and law.rcut > 0 and law.box is None
+            and not half and pair_mask is None
+            and nt * ns >= _PRUNE_MIN_PAIRS):
+        _pruned_forces(law, target_pos, source_pos, target_ids, source_ids,
+                       out, pair_counter, reaction_out)
+        return out, nt * ns
+    _dense_forces(law, target_pos, source_pos, target_ids, source_ids, out,
+                  pair_counter=pair_counter, reaction_out=reaction_out,
+                  half=half, pair_mask=pair_mask, scratch=scratch)
+    npairs = nt * (nt - 1) // 2 if half and nt == ns else nt * ns
+    return out, npairs
 
+
+def _pruned_forces(law, target_pos, source_pos, target_ids, source_ids, out,
+                   pair_counter, reaction_out) -> None:
+    """Cutoff kernel over candidate sub-blocks only.
+
+    Targets are binned into cells of width ``rcut`` (coarser when that
+    would leave fewer than ``_PRUNE_MIN_GROUP`` targets per cell); each
+    cell's targets meet only the sources inside their bounding box grown
+    by ``rcut``, in their original order.  Every pruned pair lies beyond
+    ``rcut`` along some axis, so it is one the dense kernel would mask:
+    forces agree with it up to summation order and ``pair_counter`` is
+    identical.  Sub-blocks run on the allocating path: their ragged shapes
+    rarely repeat, so pooling them would only churn the scratch pool.
+    """
+    nt, d = target_pos.shape
+    ns = source_pos.shape[0]
+    rcut = law.rcut
+    tmin = target_pos.min(axis=0)
+    extent = target_pos.max(axis=0) - tmin
+    per_axis = max(1.0, (nt / _PRUNE_MIN_GROUP) ** (1.0 / d))
+    width = np.maximum(rcut, extent / per_axis)
+    cell = np.floor((target_pos - tmin) / width).astype(np.intp)
+    order = np.lexsort(cell.T[::-1])
+    sorted_cells = cell[order]
+    starts = np.concatenate(([0], np.flatnonzero(
+        (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)) + 1))
+    ends = np.append(starts[1:], nt)
+    # The slack keeps every pruned pair beyond rcut despite the rounding of
+    # the box edges and of the kernel's own displacements.
+    scale = float(np.abs(target_pos).max()) + float(np.abs(source_pos).max())
+    reach = rcut + 1e-9 * (rcut + scale)
+    grouped = target_pos[order]
+    lo = np.minimum.reduceat(grouped, starts, axis=0) - reach
+    hi = np.maximum.reduceat(grouped, starts, axis=0) + reach
+
+    step = max(1, _CHUNK_PAIRS // ns)
+    for g0 in range(0, len(starts), step):
+        g1 = min(g0 + step, len(starts))
+        inside = ((source_pos[None, :, 0] >= lo[g0:g1, 0, None])
+                  & (source_pos[None, :, 0] <= hi[g0:g1, 0, None]))
+        for k in range(1, d):
+            inside &= source_pos[None, :, k] >= lo[g0:g1, k, None]
+            inside &= source_pos[None, :, k] <= hi[g0:g1, k, None]
+        for g in range(g0, g1):
+            si = np.flatnonzero(inside[g - g0])
+            if si.size == 0:
+                continue
+            ti = order[starts[g]:ends[g]]
+            sub_out = np.zeros((ti.size, d))
+            sub_reaction = (None if reaction_out is None
+                            else np.zeros((si.size, d)))
+            _dense_forces(
+                law, target_pos[ti], source_pos[si],
+                None if target_ids is None else target_ids[ti],
+                None if source_ids is None else source_ids[si],
+                sub_out, pair_counter=pair_counter,
+                reaction_out=sub_reaction, half=False, pair_mask=None,
+                scratch=False)
+            out[ti] += sub_out
+            if sub_reaction is not None:
+                reaction_out[si] += sub_reaction
+
+
+def _dense_forces(law, target_pos, source_pos, target_ids, source_ids, out,
+                  pair_counter, reaction_out, half, pair_mask,
+                  scratch) -> None:
+    """The dense kernel: every ``nt x ns`` pair, chunked over targets and
+    accumulated into ``out``."""
+    nt, d = target_pos.shape
+    ns = source_pos.shape[0]
     exclude_ids = target_ids is not None and source_ids is not None
     eps2 = law.softening * law.softening
     rcut2 = None if law.rcut is None else law.rcut * law.rcut
@@ -295,8 +435,6 @@ def pairwise_forces(
             np.add.at(pair_counter, (ti[ii], si[jj]), 1)
             if reaction_out is not None:
                 np.add.at(pair_counter, (si[jj], ti[ii]), 1)
-    npairs = nt * (nt - 1) // 2 if half and nt == ns else nt * ns
-    return out, npairs
 
 
 def potential_energy(

@@ -10,21 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.physics.forces import ForceLaw, pairwise_forces
+from repro.physics.forces import ForceLaw, _dense_forces
 from repro.physics.particles import ParticleSet
 
 __all__ = ["reference_forces", "reference_pair_matrix"]
 
 
 def reference_forces(law: ForceLaw, particles: ParticleSet) -> np.ndarray:
-    """Exact forces on every particle, ordered by the set's current order."""
-    forces, _ = pairwise_forces(
-        law,
-        particles.pos,
-        particles.pos,
-        target_ids=particles.ids,
-        source_ids=particles.ids,
-    )
+    """Exact forces on every particle, ordered by the set's current order.
+
+    Runs the dense kernel on its allocating path, never the public
+    (candidate-pruning, scratch-pooling) entry point, so the fast paths are
+    always checked against an independent evaluation of every pair.
+    """
+    pos, ids = particles.pos, particles.ids
+    forces = np.zeros(pos.shape, dtype=np.float64)
+    _dense_forces(law, pos, pos, ids, ids, forces, pair_counter=None,
+                  reaction_out=None, half=False, pair_mask=None,
+                  scratch=False)
     return forces
 
 

@@ -350,17 +350,11 @@ class _Geometry:
                                     tuple(self.dims))
 
 
-def _reachable(cfg, geo, vis, cache) -> np.ndarray:
+def _reachable(cfg, geo, vis) -> np.ndarray:
     """Which ranks' (home team, visitor team) pairs pass the cutoff test."""
     if cfg.rcut is None:
         return np.ones(len(vis), bool)
-    key = geo.col * geo.T + vis
-    uniq = np.unique(key)
-    for q in uniq:
-        q = int(q)
-        if q not in cache:
-            cache[q] = cfg.reachable(q // geo.T, q % geo.T)
-    return np.array([cache[int(q)] for q in key])
+    return cfg.reach(geo.col, vis)
 
 
 def _replay_commsched(sim, cs, grid, counts, *, fdim, cfg=None):
@@ -405,7 +399,6 @@ def _replay_commsched(sim, cs, grid, counts, *, fdim, cfg=None):
         _collective(sim, "bcast", geo.row, _bcast_counts(geo.c),
                     block_wire[geo.col], partner)
 
-    reach_cache: dict[int, bool] = {}
     for rnd in cs.rounds:
         if isinstance(rnd, Shift):
             moves = np.asarray(rnd.moves, np.int64)
@@ -439,7 +432,7 @@ def _replay_commsched(sim, cs, grid, counts, *, fdim, cfg=None):
                 mask = geo.row == k
                 src_team = content_of(up.source)
                 if up.gated:
-                    mask = mask & _reachable(cfg, geo, src_team, reach_cache)
+                    mask = mask & _reachable(cfg, geo, src_team)
                 if up.half_pair:
                     mask = mask & (geo.col < src_team)
                 tgt_team = content_of(up.target)
@@ -632,13 +625,7 @@ def _spatial_setup(spec, reach_scale: float):
                             team_dims=balanced_dims(p, dim))
     counts = np.bincount(team_of_positions(particles.pos, geometry),
                          minlength=p).astype(np.int64)
-    reach = spec.rcut * reach_scale
-    neighbors = [
-        [b for b in range(p)
-         if b != a and geometry.team_distance_ok(a, b, reach)]
-        for a in range(p)
-    ]
-    return counts, neighbors, particles.dim
+    return counts, geometry.neighbors(spec.rcut * reach_scale), particles.dim
 
 
 def _halo_exchange(sim, label, counts, neighbors, send_bytes, recv_bytes):

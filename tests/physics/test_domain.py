@@ -85,6 +85,82 @@ class TestTeamDistance:
                 assert g.team_distance_ok(a, b, 0.3) == g.team_distance_ok(b, a, 0.3)
 
 
+def _scalar_reach(g, rcut):
+    """The (T, T) matrix of the scalar test, pair by pair."""
+    return np.array([[g.team_distance_ok(a, b, rcut) for b in range(g.nteams)]
+                     for a in range(g.nteams)])
+
+
+def _matrix(reach, nteams):
+    """The (T, T) matrix of a Reachability, in one broadcast call."""
+    teams = np.arange(nteams)
+    return reach(teams[:, None], teams[None, :])
+
+
+class TestReachability:
+    """``reachability`` is the scalar ``team_distance_ok`` rule, precomputed."""
+
+    #: The cutoff configurations of the comm-volume lock
+    #: (tools/metrics_gate.py): PINNED and the dim-1/2/3 extra cases.
+    LOCK_CONFIGS = [(16, 2, 1), (16, 2, 2), (27, 1, 3)]
+
+    @pytest.mark.parametrize("p,c,dim", LOCK_CONFIGS)
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cutoff_config_matches_scalar_rule(self, p, c, dim, periodic):
+        from repro.core.cutoff import cutoff_config
+
+        cfg = cutoff_config(p, c, rcut=0.3, box_length=1.0, dim=dim,
+                            periodic=periodic)
+        assert np.array_equal(_matrix(cfg.reach, cfg.grid.nteams),
+                              _scalar_reach(cfg.geometry, 0.3))
+        assert all(cfg.reachable(a, b) == cfg.geometry.team_distance_ok(a, b, 0.3)
+                   for a in range(cfg.grid.nteams)
+                   for b in range(cfg.grid.nteams))
+
+    @pytest.mark.parametrize("rcut", [0.15, 0.3])  # midpoint, spatial
+    def test_neighbors_match_scalar_rule(self, rcut):
+        g = TeamGeometry(1.0, (4, 4))  # spatial/midpoint at the lock's p=16
+        want = [[b for b in range(16) if b != a and g.team_distance_ok(a, b, rcut)]
+                for a in range(16)]
+        assert g.neighbors(rcut) == want
+
+    def test_no_cutoff_config_has_no_matrix(self):
+        from repro.core.allpairs import allpairs_config
+
+        cfg = allpairs_config(16, 2)
+        assert cfg.reach is None and cfg.reachable(0, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           dims=st.sampled_from([(5,), (3, 4), (2, 3, 2), (7, 2)]),
+           rcut=st.floats(0.0, 1.5))
+    def test_weighted_edges_match_scalar_rule(self, data, dims, rcut):
+        edges = []
+        for d in dims:
+            inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=d - 1,
+                                       max_size=d - 1, unique=True))
+            edges.append(tuple([0.0] + sorted(inner) + [1.0]))
+        g = TeamGeometry(1.0, dims, edges=tuple(edges))
+        assert np.array_equal(_matrix(g.reachability(rcut), g.nteams),
+                              _scalar_reach(g, rcut))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(6,), (4, 3), (3, 3, 3), (8, 2)]),
+           rcut=st.floats(0.0, 0.5))
+    def test_periodic_matches_scalar_rule(self, dims, rcut):
+        g = TeamGeometry(1.0, dims, periodic=True)
+        assert np.array_equal(_matrix(g.reachability(rcut), g.nteams),
+                              _scalar_reach(g, rcut))
+
+    def test_paper_scale_stays_small(self):
+        """O(T) storage: 24576 teams (Figure 6's p at c=1) cost no T^2."""
+        g = TeamGeometry(1.0, (24576,))
+        reach = g.reachability(5e-5)  # between one and two cell widths
+        assert sum(a.nbytes for a in reach.index + reach.edges) < 1 << 20
+        assert reach(0, 1) and reach(0, 2) and not reach(0, 3)
+        assert reach(24575, 24573) and not reach(0, 24575)
+
+
 class TestTeamOfPositions:
     def test_basic_binning(self):
         g = TeamGeometry(1.0, (2, 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.physics.forces as F
 from repro.physics import ForceLaw, ParticleSet, pairwise_forces, potential_energy
 
 
@@ -140,6 +141,142 @@ class TestPairwiseForces:
         a, _ = pairwise_forces(law, t, s[:cut])
         b, _ = pairwise_forces(law, t, s[cut:])
         assert np.allclose(full, a + b, atol=1e-12)
+
+
+def _dense(law, t, s, tids=None, sids=None, *, reaction=False, counter=None):
+    """The dense core on its allocating path: every pair evaluated."""
+    out = np.zeros_like(t)
+    rout = np.zeros_like(s) if reaction else None
+    F._dense_forces(law, t, s, tids, sids, out, pair_counter=counter,
+                    reaction_out=rout, half=False, pair_mask=None,
+                    scratch=False)
+    return out, rout
+
+
+def _close(got, want):
+    scale = float(np.abs(want).max()) or 1.0
+    return float(np.abs(got - want).max()) <= 1e-12 * scale
+
+
+class TestCandidatePruning:
+    """The cutoff entry point prunes candidates before any arithmetic; it
+    must agree with the dense core and keep charging every pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 3),
+           nt=st.integers(128, 300), ns=st.integers(128, 300),
+           rcut=st.sampled_from([1e-6, 0.01, 0.05, 0.1, 0.3, 0.7, 2.0]),
+           shift=st.integers(0, 300), self_block=st.booleans(),
+           reaction=st.booleans())
+    def test_matches_dense_core(self, seed, dim, nt, ns, rcut, shift,
+                                self_block, reaction):
+        law = ForceLaw(k=1e-3, softening=1e-3, rcut=rcut)
+        rng = np.random.default_rng(seed)
+        t = rng.random((nt, dim))
+        tids = np.arange(nt)
+        if self_block:
+            s, sids = t, tids
+        else:  # ids overlap the targets' when shift < nt
+            s, sids = rng.random((ns, dim)), np.arange(ns) + shift
+        assert len(t) * len(s) >= F._PRUNE_MIN_PAIRS  # the pruned branch
+        n_ids = int(max(tids.max(), sids.max())) + 1
+        pc = np.zeros((n_ids, n_ids), dtype=np.int64)
+        pc_dense = pc.copy()
+        rout = np.zeros_like(s) if reaction else None
+        got, npairs = pairwise_forces(law, t, s, target_ids=tids,
+                                      source_ids=sids, pair_counter=pc,
+                                      reaction_out=rout)
+        want, want_r = _dense(law, t, s, tids, sids, reaction=reaction,
+                              counter=pc_dense)
+        assert npairs == len(t) * len(s)
+        assert _close(got, want)
+        if reaction:
+            assert _close(rout, want_r)
+        assert np.array_equal(pc, pc_dense)
+
+    def test_branch_taken_only_for_open_cutoff_blocks(self, law, monkeypatch):
+        calls = []
+        pruned = F._pruned_forces
+        monkeypatch.setattr(F, "_pruned_forces",
+                            lambda *a: calls.append(1) or pruned(*a))
+        rng = np.random.default_rng(9)
+        big = rng.random((128, 2))
+        ids = np.arange(128)
+        cut = law.with_rcut(0.1)
+        pairwise_forces(law, big, big)  # no cutoff
+        pairwise_forces(cut.with_box(1.0), big, big)  # periodic
+        pairwise_forces(cut, big[:100], big)  # below the threshold
+        pairwise_forces(cut, big, big, target_ids=ids, source_ids=ids,
+                        reaction_out=np.zeros_like(big), half=True)
+        pairwise_forces(cut, big, big,
+                        pair_mask=np.ones((128, 128), dtype=bool))
+        assert calls == []
+        pairwise_forces(cut, big, big)
+        assert calls == [1]
+
+    def test_far_blocks_add_nothing_and_charge_everything(self, law):
+        law = law.with_rcut(0.05)
+        rng = np.random.default_rng(10)
+        t = rng.random((200, 2)) * 0.1
+        s = rng.random((200, 2)) * 0.1 + 0.5
+        out = np.full((200, 2), 3.0)
+        got, npairs = pairwise_forces(law, t, s, out=out)
+        assert npairs == 200 * 200
+        assert (got == 3.0).all()
+
+    def test_accumulates_into_out(self, law):
+        law = law.with_rcut(0.2)
+        rng = np.random.default_rng(11)
+        t, s = rng.random((150, 3)), rng.random((150, 3))
+        base = rng.random((150, 3))
+        got, _ = pairwise_forces(law, t, s, out=base.copy())
+        want, _ = _dense(law, t, s)
+        assert _close(got, base + want)
+
+
+class TestScratchPool:
+    """The pooled scratch buffers are a byte-capped LRU map."""
+
+    def test_ragged_shapes_stay_under_cap_and_bitwise(self, law):
+        F.clear_scratch()
+        periodic = law.with_rcut(0.2).with_box(1.0)  # always the dense core
+        rng = np.random.default_rng(12)
+        for nt in range(200, 330, 7):
+            t, s = rng.random((nt, 2)), rng.random((nt + 3, 2))
+            pooled, _ = pairwise_forces(periodic, t, s)
+            alloc, _ = pairwise_forces(periodic, t, s, scratch=False)
+            assert np.array_equal(pooled, alloc)  # bitwise
+            assert F.scratch_bytes() <= F._SCRATCH_CAP_BYTES
+        assert F.scratch_bytes() == sum(F._Scratch.nbytes(*k)
+                                        for k in F._SCRATCH_POOL)
+        F.clear_scratch()
+        assert F.scratch_bytes() == 0
+
+    def test_recently_used_shape_survives_eviction(self, law):
+        F.clear_scratch()
+        rng = np.random.default_rng(13)
+        hot = rng.random((512, 2))
+        pairwise_forces(law, hot, hot)
+        for ns in range(300, 900, 20):
+            pairwise_forces(law, hot, rng.random((ns, 2)))
+            pairwise_forces(law, hot, hot)
+        assert (512, 512, 2) in F._SCRATCH_POOL
+        F.clear_scratch()
+
+    def test_even_512_blocks_stay_resident(self):
+        """Equal 512-particle 2-D blocks (the p=16, n=4096 all-pairs and
+        symmetric runs) need one pooled shape; two would still fit."""
+        assert 2 * F._Scratch.nbytes(512, 512, 2) <= F._SCRATCH_CAP_BYTES
+
+    def test_oversized_shape_is_not_pooled(self, law, monkeypatch):
+        F.clear_scratch()
+        monkeypatch.setattr(F, "_SCRATCH_CAP_BYTES", 1 << 10)
+        rng = np.random.default_rng(14)
+        t, s = rng.random((64, 2)), rng.random((64, 2))
+        pooled, _ = pairwise_forces(law, t, s)
+        alloc, _ = pairwise_forces(law, t, s, scratch=False)
+        assert np.array_equal(pooled, alloc)
+        assert F.scratch_bytes() == 0 and not F._SCRATCH_POOL
 
 
 class TestPotentialEnergy:
